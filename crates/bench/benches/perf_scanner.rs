@@ -8,11 +8,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use p2pmal_corpus::Roster;
-use p2pmal_crawler::{HostKey, ResponseRecord, ScanPipeline, ScanService};
-use p2pmal_netsim::SimTime;
+use p2pmal_crawler::ScanPipeline;
 use p2pmal_scanner::{AhoCorasick, ScanConfig, Scanner, Signature};
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// Sample count: 10 normally, 2 under `P2PMAL_PERF_SMOKE=1` (CI smoke).
 fn samples() -> usize {
@@ -222,10 +220,10 @@ fn bench_verdict_cache(c: &mut Criterion) {
     const REPEATS: usize = 8;
     let total_bytes: u64 = bodies.iter().map(|b| b.len() as u64).sum::<u64>() * REPEATS as u64;
     let make_scanner = || {
-        Arc::new(Scanner::with_config(
+        Scanner::with_config(
             roster.signature_db().unwrap().build().unwrap(),
             ScanConfig::default(),
-        ))
+        )
     };
 
     let mut g = c.benchmark_group("verdict_cache");
@@ -260,82 +258,12 @@ fn bench_verdict_cache(c: &mut Criterion) {
     );
 }
 
-/// The batched scan service against the inline sequential path, over
-/// distinct clean megabyte bodies with the verdict cache disabled — every
-/// body pays SHA-1 plus a full engine pass, the workload the service
-/// parallelizes. `batched_1_thread` goes through the same submit/flush
-/// machinery on the inline pool, isolating the batching overhead itself.
-fn bench_scan_service(c: &mut Criterion) {
-    let roster = Roster::limewire_2006();
-    let make_scanner = || {
-        Arc::new(Scanner::with_config(
-            roster.signature_db().unwrap().build().unwrap(),
-            ScanConfig::default(),
-        ))
-    };
-    const BODIES: usize = 16;
-    let bodies: Vec<Vec<u8>> = (0..BODIES)
-        .map(|i| {
-            let mut b = clean_sample(1 << 20);
-            b[..8].copy_from_slice(&(i as u64).to_le_bytes());
-            b
-        })
-        .collect();
-    let record = |i: usize| ResponseRecord {
-        at: SimTime::ZERO,
-        day: 0,
-        query: "q".into(),
-        filename: format!("f{i}.exe"),
-        size: 0,
-        source_ip: std::net::Ipv4Addr::new(10, 0, 0, 1),
-        source_port: 6346,
-        needs_push: false,
-        host: HostKey::Addr(std::net::Ipv4Addr::new(10, 0, 0, 1), 6346),
-        downloadable: true,
-    };
-    let total_bytes: u64 = bodies.iter().map(|b| b.len() as u64).sum();
-
-    let mut g = c.benchmark_group("scan_service");
-    g.sample_size(samples());
-    g.throughput(Throughput::Bytes(total_bytes));
-    let mut inline = ScanPipeline::new(make_scanner(), 0);
-    g.bench_function("sequential_inline", |b| {
-        b.iter(|| {
-            for (i, body) in bodies.iter().enumerate() {
-                black_box(inline.scan(&format!("f{i}.exe"), black_box(body)));
-            }
-        });
-    });
-    for threads in [1usize, 4] {
-        let mut pipeline = ScanPipeline::new(make_scanner(), 0);
-        let mut service = ScanService::new(threads);
-        let name = format!("batched_{threads}_thread");
-        g.bench_function(name.as_str(), |b| {
-            // Setup clones the bodies outside the timed section: the crawler
-            // hands the service each downloaded body by value, so the copy
-            // is a bench artifact, not part of the measured path.
-            b.iter_batched(
-                || bodies.clone(),
-                |bs| {
-                    for (i, body) in bs.into_iter().enumerate() {
-                        service.submit(record(i), body, None);
-                    }
-                    black_box(service.flush(&mut pipeline).outcomes.len())
-                },
-                criterion::BatchSize::LargeInput,
-            );
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_scan,
     bench_automaton_build,
     bench_prefilter,
     bench_crc32,
-    bench_verdict_cache,
-    bench_scan_service
+    bench_verdict_cache
 );
 criterion_main!(benches);

@@ -1,23 +1,25 @@
 //! Perf: discrete-event simulator throughput.
 //!
-//! Two measurements:
+//! Three measurements:
 //!
-//! * **Scheduler head-to-head** — the bucketed calendar queue vs the
-//!   original `(time, seq)` binary heap on the classic *hold model*
-//!   (pre-fill to a working depth, then pop one / push one at a jittered
-//!   future time), the access pattern a running simulation produces. This
-//!   isolates the scheduler itself; events/second for both go to stdout.
+//! * **Scheduler** — the bucketed calendar queue on the classic *hold
+//!   model* (pre-fill to a working depth, then pop one / push one at a
+//!   jittered future time), the access pattern a running simulation
+//!   produces. This isolates the scheduler itself; events/second goes to
+//!   stdout.
 //! * **Whole-simulation overlay** — a small Gnutella overlay under query
-//!   load, run once per scheduler, so the end-to-end effect (scheduler +
-//!   pooled payload buffers) is visible in events/second.
+//!   load, so the end-to-end effect (scheduler + pooled payload buffers) is
+//!   visible in events/second.
+//! * **Shard scaling** — one quick LimeWire day on the serial engine and
+//!   on four shards.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2pmal_core::LimewireScenario;
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, HostLibrary, Roster};
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
-use p2pmal_netsim::queue::{CalendarQueue, HeapQueue, Scheduler};
-use p2pmal_netsim::{NodeSpec, SchedulerKind, SimConfig, SimTime, Simulator};
+use p2pmal_netsim::queue::{CalendarQueue, Scheduler};
+use p2pmal_netsim::{NodeSpec, SimConfig, SimTime, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -68,15 +70,9 @@ fn hold_model<S: Scheduler<u64>>(q: &mut S, depth: usize, ops: usize) -> u64 {
 
 /// Builds a 3-ultrapeer, 12-leaf overlay with ambient query load and runs
 /// it for `sim_secs` of virtual time; returns events processed.
-fn run_overlay(seed: u64, sim_secs: u64, scheduler: SchedulerKind) -> u64 {
+fn run_overlay(seed: u64, sim_secs: u64) -> u64 {
     let w = world(seed);
-    let mut sim = Simulator::new(
-        SimConfig {
-            scheduler,
-            ..SimConfig::default()
-        },
-        seed,
-    );
+    let mut sim = Simulator::new(SimConfig::default(), seed);
     let mut ups = Vec::new();
     for _ in 0..3 {
         let cfg = ServentConfig::ultrapeer().with_bootstrap(ups.clone());
@@ -99,16 +95,6 @@ fn run_overlay(seed: u64, sim_secs: u64, scheduler: SchedulerKind) -> u64 {
     }
     sim.run_until(SimTime::from_secs(sim_secs));
     sim.metrics().events_processed
-}
-
-/// One simulated day of the quick LimeWire study scenario under the given
-/// scheduler; returns events processed.
-fn run_quick_scenario(seed: u64, scheduler: SchedulerKind) -> u64 {
-    let mut sc = LimewireScenario::quick(seed);
-    sc.days = 1;
-    sc.scheduler = scheduler;
-    sc.shards = 1;
-    sc.run().sim_metrics.events_processed
 }
 
 /// One simulated day of the quick LimeWire study under `shards` simulation
@@ -135,12 +121,6 @@ const HOLD_OPS: usize = 200_000;
 fn bench_scheduler(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler");
     g.sample_size(samples());
-    g.bench_function(&format!("heap_hold_{HOLD_DEPTH}"), |b| {
-        b.iter(|| {
-            let mut q = HeapQueue::default();
-            black_box(hold_model(&mut q, HOLD_DEPTH, HOLD_OPS))
-        });
-    });
     g.bench_function(&format!("calendar_hold_{HOLD_DEPTH}"), |b| {
         b.iter(|| {
             let mut q = CalendarQueue::default();
@@ -149,95 +129,44 @@ fn bench_scheduler(c: &mut Criterion) {
     });
     g.finish();
 
-    // Head-to-head events/second for the logs (EXPERIMENTS.md records
-    // these): same workload, scheduler is the only variable.
-    let rate = |f: &dyn Fn() -> u64| {
-        let t0 = std::time::Instant::now();
-        let mut reps = 0u32;
-        while reps < 3 || t0.elapsed().as_millis() < 300 {
-            black_box(f());
-            reps += 1;
-        }
-        (reps as u64 * (HOLD_DEPTH + HOLD_OPS) as u64) as f64 / t0.elapsed().as_secs_f64()
-    };
-    let heap = rate(&|| hold_model(&mut HeapQueue::default(), HOLD_DEPTH, HOLD_OPS));
-    let cal = rate(&|| hold_model(&mut CalendarQueue::default(), HOLD_DEPTH, HOLD_OPS));
-    println!(
-        "scheduler hold({HOLD_DEPTH}): heap {:.0} events/s, calendar {:.0} events/s ({:.2}x)",
-        heap,
-        cal,
-        cal / heap
-    );
+    // Events/second for the logs (EXPERIMENTS.md records these).
+    let t0 = std::time::Instant::now();
+    let mut reps = 0u32;
+    while reps < 3 || t0.elapsed().as_millis() < 300 {
+        black_box(hold_model(
+            &mut CalendarQueue::default(),
+            HOLD_DEPTH,
+            HOLD_OPS,
+        ));
+        reps += 1;
+    }
+    let rate = (reps as u64 * (HOLD_DEPTH + HOLD_OPS) as u64) as f64 / t0.elapsed().as_secs_f64();
+    println!("scheduler hold({HOLD_DEPTH}): calendar {rate:.0} events/s");
 }
 
 fn bench_sim(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
     g.sample_size(samples());
-    for (label, kind) in [
-        ("overlay_600s_heap", SchedulerKind::Heap),
-        ("overlay_600s_calendar", SchedulerKind::Calendar),
-    ] {
-        g.bench_function(label, |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                black_box(run_overlay(seed, 600, kind))
-            });
+    g.bench_function("overlay_600s_calendar", |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            black_box(run_overlay(seed, 600))
         });
-    }
+    });
     g.finish();
 
-    // Report the end-to-end event rates once for the logs.
-    for (label, kind) in [
-        ("heap", SchedulerKind::Heap),
-        ("calendar", SchedulerKind::Calendar),
-    ] {
-        let t0 = std::time::Instant::now();
-        let mut events = 0u64;
-        for rep in 0..20 {
-            events += run_overlay(99 + rep, 1200, kind);
-        }
-        let rate = events as f64 / t0.elapsed().as_secs_f64();
-        println!(
-            "simulator[{label}]: {events} events in {:.2}s wall = {:.0} events/s",
-            t0.elapsed().as_secs_f64(),
-            rate
-        );
+    // Report the end-to-end event rate once for the logs.
+    let t0 = std::time::Instant::now();
+    let mut events = 0u64;
+    for rep in 0..20 {
+        events += run_overlay(99 + rep, 1200);
     }
-}
-
-fn bench_quick_scenario(c: &mut Criterion) {
-    let mut g = c.benchmark_group("quick_scenario");
-    g.sample_size(samples());
-    for (label, kind) in [
-        ("limewire_1day_heap", SchedulerKind::Heap),
-        ("limewire_1day_calendar", SchedulerKind::Calendar),
-    ] {
-        g.bench_function(label, |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                black_box(run_quick_scenario(seed, kind))
-            });
-        });
-    }
-    g.finish();
-
-    for (label, kind) in [
-        ("heap", SchedulerKind::Heap),
-        ("calendar", SchedulerKind::Calendar),
-    ] {
-        let t0 = std::time::Instant::now();
-        let mut events = 0u64;
-        for rep in 0..4 {
-            events += run_quick_scenario(7 + rep, kind);
-        }
-        println!(
-            "quick_scenario[{label}]: {events} events in {:.2}s wall = {:.0} events/s",
-            t0.elapsed().as_secs_f64(),
-            events as f64 / t0.elapsed().as_secs_f64()
-        );
-    }
+    println!(
+        "simulator: {events} events in {:.2}s wall = {:.0} events/s",
+        t0.elapsed().as_secs_f64(),
+        events as f64 / t0.elapsed().as_secs_f64()
+    );
 }
 
 /// Shard scaling: the serial engine vs the parallel sharded engine on the
@@ -275,11 +204,5 @@ fn bench_shard_scaling(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_scheduler,
-    bench_sim,
-    bench_quick_scenario,
-    bench_shard_scaling
-);
+criterion_group!(benches, bench_scheduler, bench_sim, bench_shard_scaling);
 criterion_main!(benches);

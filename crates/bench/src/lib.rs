@@ -8,6 +8,16 @@
 //! the rest reload it in seconds. Delete the cache directory (or change
 //! the seed) to re-measure.
 //!
+//! A cached run is keyed on everything in [`BenchConfig`] that changes the
+//! trajectory: `{network}-{quick|paper}-{seed}-{days}[-{faults}][-r{n}]`,
+//! plus `-sharded-w{ms}ms` when `P2PMAL_SHARDS` ≥ 2 (every shard count
+//! N ≥ 2 shares one trajectory, so N itself stays out of the key; the
+//! serial engine ignores the window, so serial keys omit it). Each
+//! artifact also records its engine and window, and a load whose recorded
+//! engine is missing or differs from the configuration's is a cache miss.
+//! The key does not cover the build: after a code change that moves the
+//! trajectory, delete the cache directory.
+//!
 //! Scale control via environment:
 //!
 //! * `P2PMAL_QUICK=1` — run the minutes-scale `quick()` scenarios;
@@ -38,9 +48,9 @@ use p2pmal_crawler::{
     FailureBreakdown, HostKey, Network, ResolvedResponse, ResponseRecord, RetryPolicy, ScanStats,
 };
 use p2pmal_json::Value;
-use p2pmal_netsim::FaultPlan;
 use p2pmal_netsim::SimTime;
 use p2pmal_netsim::{Counter, HistSummary};
+use p2pmal_netsim::{FaultPlan, SimConfig};
 use std::io::Write;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
@@ -111,6 +121,10 @@ pub struct BenchConfig {
     pub faults: String,
     /// `P2PMAL_RETRIES=<n>` — retry-budget override on top of the profile.
     pub retries: Option<u8>,
+    /// `P2PMAL_SHARDS` (1 = serial engine) and `P2PMAL_SHARD_WINDOW_MS`
+    /// (in microseconds), read once by [`SimConfig::shards_from_env`].
+    pub shards: usize,
+    pub shard_window_us: u64,
 }
 
 impl BenchConfig {
@@ -138,6 +152,7 @@ impl BenchConfig {
         let retries = std::env::var("P2PMAL_RETRIES")
             .ok()
             .and_then(|v| v.parse().ok());
+        let (shards, shard_window_us) = SimConfig::shards_from_env();
         BenchConfig {
             quick,
             seed,
@@ -145,6 +160,19 @@ impl BenchConfig {
             seeds: seeds.filter(|s| !s.is_empty()),
             faults,
             retries,
+            shards,
+            shard_window_us,
+        }
+    }
+
+    /// The simulation engine this configuration runs, as the run cache
+    /// records it: `("serial", 0)`, or `("sharded", window_us)` for every
+    /// shard count ≥ 2.
+    fn engine(&self) -> (&'static str, u64) {
+        if self.shards >= 2 {
+            ("sharded", self.shard_window_us)
+        } else {
+            ("serial", 0)
         }
     }
 
@@ -186,6 +214,9 @@ impl BenchConfig {
         if let Some(n) = self.retries {
             tag.push_str(&format!("-r{n}"));
         }
+        if self.shards >= 2 {
+            tag.push_str(&format!("-sharded-w{}ms", self.shard_window_us / 1000));
+        }
         tag
     }
 }
@@ -211,17 +242,25 @@ fn cache_path(network: &str, cfg: &BenchConfig) -> PathBuf {
     p
 }
 
-fn load(path: &PathBuf) -> Option<RunArtifact> {
+/// Loads the artifact at `path` if it was recorded under `cfg`'s engine; a
+/// missing or different engine is a cache miss.
+fn load(path: &PathBuf, cfg: &BenchConfig) -> Option<RunArtifact> {
     let text = std::fs::read_to_string(path).ok()?;
-    artifact_from_json(&p2pmal_json::parse(&text).ok()?)
+    let v = p2pmal_json::parse(&text).ok()?;
+    let (engine, window_us) = cfg.engine();
+    if v.get("engine")?.as_str()? != engine || v.get("shard_window_us")?.as_u64()? != window_us {
+        return None;
+    }
+    artifact_from_json(&v)
 }
 
-fn store(path: &PathBuf, artifact: &RunArtifact) {
+fn store(path: &PathBuf, artifact: &RunArtifact, cfg: &BenchConfig) {
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
     if let Ok(mut f) = std::fs::File::create(path) {
-        let _ = f.write_all(artifact_to_json(artifact).to_string_compact().as_bytes());
+        let json = artifact_to_json(artifact, cfg.engine());
+        let _ = f.write_all(json.to_string_compact().as_bytes());
     }
 }
 
@@ -450,8 +489,10 @@ fn telemetry_from_json(v: &Value) -> Option<TelemetryStats> {
     Some(TelemetryStats { counters, hists })
 }
 
-fn artifact_to_json(a: &RunArtifact) -> Value {
+fn artifact_to_json(a: &RunArtifact, (engine, window_us): (&str, u64)) -> Value {
     Value::Obj(vec![
+        ("engine".into(), engine.into()),
+        ("shard_window_us".into(), window_us.into()),
         (
             "network".into(),
             match a.network {
@@ -549,7 +590,7 @@ fn resilience_of(run: &p2pmal_core::NetworkRun) -> ResilienceStats {
 /// Returns the (possibly cached) LimeWire measurement run.
 pub fn limewire_run(cfg: &BenchConfig) -> RunArtifact {
     let path = cache_path("limewire", cfg);
-    if let Some(a) = load(&path) {
+    if let Some(a) = load(&path, cfg) {
         eprintln!(
             "[p2pmal] loaded cached LimeWire run from {}",
             path.display()
@@ -563,6 +604,8 @@ pub fn limewire_run(cfg: &BenchConfig) -> RunArtifact {
     };
     let (plan, retry) = cfg.fault_plan();
     scenario = scenario.with_faults(plan, retry);
+    scenario.shards = cfg.shards;
+    scenario.shard_window_us = cfg.shard_window_us;
     if let Some(days) = cfg.days {
         scenario.days = days;
     }
@@ -589,14 +632,14 @@ pub fn limewire_run(cfg: &BenchConfig) -> RunArtifact {
         telemetry: telemetry_of(&run),
         resolved: run.resolved,
     };
-    store(&path, &artifact);
+    store(&path, &artifact, cfg);
     artifact
 }
 
 /// Returns the (possibly cached) OpenFT measurement run.
 pub fn openft_run(cfg: &BenchConfig) -> RunArtifact {
     let path = cache_path("openft", cfg);
-    if let Some(a) = load(&path) {
+    if let Some(a) = load(&path, cfg) {
         eprintln!("[p2pmal] loaded cached OpenFT run from {}", path.display());
         return a;
     }
@@ -607,6 +650,8 @@ pub fn openft_run(cfg: &BenchConfig) -> RunArtifact {
     };
     let (plan, retry) = cfg.fault_plan();
     scenario = scenario.with_faults(plan, retry);
+    scenario.shards = cfg.shards;
+    scenario.shard_window_us = cfg.shard_window_us;
     if let Some(days) = cfg.days {
         scenario.days = days;
     }
@@ -633,7 +678,7 @@ pub fn openft_run(cfg: &BenchConfig) -> RunArtifact {
         telemetry: telemetry_of(&run),
         resolved: run.resolved,
     };
-    store(&path, &artifact);
+    store(&path, &artifact, cfg);
     artifact
 }
 
@@ -692,4 +737,98 @@ pub fn banner(id: &str, what: &str) {
     println!("{id} — {what}");
     println!("reproduction of Kalafut et al., 'A study of malware in P2P networks' (IMC 2006)");
     println!("================================================================");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(shards: usize, shard_window_us: u64) -> BenchConfig {
+        BenchConfig {
+            quick: true,
+            seed: 2006,
+            days: None,
+            seeds: None,
+            faults: "none".into(),
+            retries: None,
+            shards,
+            shard_window_us,
+        }
+    }
+
+    fn artifact() -> RunArtifact {
+        RunArtifact {
+            network: Network::Limewire,
+            seed: 2006,
+            days: 1,
+            queries_issued: 3,
+            downloads_attempted: 2,
+            downloads_failed: 1,
+            sim_events: 100,
+            scan: ScanStats::default(),
+            resilience: ResilienceStats::default(),
+            telemetry: TelemetryStats::default(),
+            resolved: Vec::new(),
+        }
+    }
+
+    /// A scratch file path unique to this test process and `name`.
+    fn scratch_path(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "p2pmal-bench-cache-{}-{name}.json",
+            std::process::id()
+        ))
+    }
+
+    #[test]
+    fn cache_key_separates_engines_but_not_shard_counts() {
+        let serial = cache_path("limewire", &config(1, 1_000_000));
+        let two = cache_path("limewire", &config(2, 1_000_000));
+        let four = cache_path("limewire", &config(4, 1_000_000));
+        let narrow = cache_path("limewire", &config(4, 250_000));
+        assert_ne!(serial, two, "serial and sharded runs share a cache key");
+        assert_eq!(two, four, "every shard count >= 2 runs one trajectory");
+        assert_ne!(four, narrow, "the window changes the sharded trajectory");
+        assert_eq!(
+            serial,
+            cache_path("limewire", &config(1, 250_000)),
+            "the serial engine ignores the window"
+        );
+    }
+
+    #[test]
+    fn cached_artifact_loads_only_under_its_engine() {
+        let serial = config(1, 1_000_000);
+        let sharded = config(4, 1_000_000);
+        for (stored, other, name) in [
+            (&serial, &sharded, "serial"),
+            (&sharded, &serial, "sharded"),
+        ] {
+            let path = scratch_path(name);
+            store(&path, &artifact(), stored);
+            let hit = load(&path, stored).expect("same engine reloads");
+            assert_eq!(hit.sim_events, 100);
+            assert!(
+                load(&path, other).is_none(),
+                "a {name} artifact loaded under another engine"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn artifact_without_engine_is_a_cache_miss() {
+        let cfg = config(1, 1_000_000);
+        let path = scratch_path("legacy");
+        let Value::Obj(fields) = artifact_to_json(&artifact(), cfg.engine()) else {
+            unreachable!("artifacts serialize to objects")
+        };
+        let legacy: Vec<_> = fields
+            .into_iter()
+            .filter(|(k, _)| k != "engine" && k != "shard_window_us")
+            .collect();
+        std::fs::write(&path, Value::Obj(legacy).to_string_compact()).unwrap();
+        assert!(load(&path, &cfg).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -27,8 +27,7 @@ use p2pmal_crawler::{
 };
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
 use p2pmal_netsim::{
-    MemoryStats, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimMetrics, SimTime, Simulator,
-    TelemetryConfig,
+    MemoryStats, NodeSpec, SimConfig, SimDuration, SimMetrics, SimTime, Simulator, TelemetryConfig,
 };
 use p2pmal_scanner::Scanner;
 use rand::rngs::StdRng;
@@ -58,7 +57,6 @@ pub struct MegaScenario {
     pub ambient_every: usize,
     pub catalog: CatalogConfig,
     pub workload: WorkloadConfig,
-    pub scheduler: SchedulerKind,
     pub telemetry: TelemetryConfig,
     pub shards: usize,
     pub shard_window_us: u64,
@@ -104,7 +102,6 @@ impl MegaScenario {
                 base_interval_secs: 60,
                 ..Default::default()
             },
-            scheduler: SchedulerKind::Calendar,
             telemetry: TelemetryConfig::from_env(),
             shards: SimConfig::shards_from_env().0,
             shard_window_us: SimConfig::shards_from_env().1,
@@ -140,17 +137,16 @@ impl MegaScenario {
                 Arc::new(ContentStore::new(self.seed)),
             )
         };
-        let scanner = Arc::new(Scanner::new(
+        let scanner = Scanner::new(
             world
                 .roster
                 .signature_db()
                 .expect("roster db")
                 .build()
                 .expect("db compiles"),
-        ));
+        );
         let mut sim = Simulator::new(
             SimConfig {
-                scheduler: self.scheduler,
                 shards: self.shards,
                 shard_window_us: self.shard_window_us,
                 ..SimConfig::default()
@@ -227,7 +223,6 @@ impl MegaScenario {
                 GnutellaCrawlerConfig {
                     workload: self.workload.clone(),
                     scan_cache_entries: DEFAULT_SCAN_CACHE_ENTRIES,
-                    scan_threads: p2pmal_crawler::scan_threads_from_env(),
                     retry: RetryPolicy::legacy(),
                     ..Default::default()
                 },
@@ -242,7 +237,6 @@ impl MegaScenario {
         for day in 1..=self.days {
             let t0 = std::time::Instant::now();
             sim.run_until(SimTime::from_days(day));
-            sim.barrier(crawler);
             let day_wall = t0.elapsed();
             wall += day_wall;
             sim.sample_queue_depth();

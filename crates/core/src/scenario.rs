@@ -27,8 +27,8 @@ use p2pmal_crawler::{
 };
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
 use p2pmal_netsim::{
-    FaultPlan, HostAddr, NodeSpec, SchedulerKind, SimConfig, SimDuration, SimMetrics, SimTime,
-    Simulator, TelemetryConfig,
+    FaultPlan, HostAddr, NodeSpec, SimConfig, SimDuration, SimMetrics, SimTime, Simulator,
+    TelemetryConfig,
 };
 use p2pmal_openft::node::{FtConfig, FtNode};
 use p2pmal_scanner::Scanner;
@@ -209,15 +209,15 @@ fn make_world(seed: u64, catalog_cfg: &CatalogConfig, roster: Roster) -> SharedW
     )
 }
 
-fn make_scanner(world: &SharedWorld) -> Arc<Scanner> {
-    Arc::new(Scanner::new(
+fn make_scanner(world: &SharedWorld) -> Scanner {
+    Scanner::new(
         world
             .roster
             .signature_db()
             .expect("roster db")
             .build()
             .expect("db compiles"),
-    ))
+    )
 }
 
 /// A clean host's library: `files` popularity-sampled titles, one random
@@ -261,15 +261,9 @@ pub struct LimewireScenario {
     pub workload: WorkloadConfig,
     /// Ambient query interval for clean leaves (None = silent population).
     pub ambient_query: Option<SimDuration>,
-    /// Event scheduler (the heap is kept around for benchmarking).
-    pub scheduler: SchedulerKind,
     /// Verdict-cache capacity for the crawler's scan pipeline (0 disables;
     /// outcomes are identical either way, only wall time changes).
     pub scan_cache_entries: usize,
-    /// Scan-service worker threads (1 = inline sequential scanning). The
-    /// presets read `P2PMAL_SCAN_THREADS`; any value produces byte-identical
-    /// reports, only wall time changes.
-    pub scan_threads: usize,
     /// Network fault injection ([`FaultPlan::none()`] by default, which is
     /// byte-identical to a fault-free simulator).
     pub faults: FaultPlan,
@@ -313,9 +307,7 @@ impl LimewireScenario {
                 ..Default::default()
             },
             ambient_query: Some(SimDuration::from_hours(1)),
-            scheduler: SchedulerKind::Calendar,
             scan_cache_entries: DEFAULT_SCAN_CACHE_ENTRIES,
-            scan_threads: p2pmal_crawler::scan_threads_from_env(),
             faults: FaultPlan::none(),
             retry: RetryPolicy::legacy(),
             telemetry: TelemetryConfig::from_env(),
@@ -385,7 +377,6 @@ impl LimewireScenario {
         let scanner = make_scanner(&world);
         let mut sim = Simulator::new(
             SimConfig {
-                scheduler: self.scheduler,
                 faults: self.faults,
                 shards: self.shards,
                 shard_window_us: self.shard_window_us,
@@ -458,7 +449,6 @@ impl LimewireScenario {
                 GnutellaCrawlerConfig {
                     workload: self.workload.clone(),
                     scan_cache_entries: self.scan_cache_entries,
-                    scan_threads: self.scan_threads,
                     retry: self.retry,
                     ..Default::default()
                 },
@@ -470,9 +460,6 @@ impl LimewireScenario {
         for day in 1..=self.days {
             let t0 = std::time::Instant::now();
             sim.run_until(SimTime::from_days(day));
-            // Sim-time barrier: merge any batched scan verdicts before the
-            // day's stats are read, so day lines match the inline path.
-            sim.barrier(crawler);
             let day_wall = t0.elapsed();
             wall += day_wall;
             // Unconditional: every run samples queue depth identically, so
@@ -550,15 +537,9 @@ pub struct OpenFtScenario {
     pub catalog: CatalogConfig,
     pub workload: WorkloadConfig,
     pub ambient_query: Option<SimDuration>,
-    /// Event scheduler (the heap is kept around for benchmarking).
-    pub scheduler: SchedulerKind,
     /// Verdict-cache capacity for the crawler's scan pipeline (0 disables;
     /// outcomes are identical either way, only wall time changes).
     pub scan_cache_entries: usize,
-    /// Scan-service worker threads (1 = inline sequential scanning). The
-    /// presets read `P2PMAL_SCAN_THREADS`; any value produces byte-identical
-    /// reports, only wall time changes.
-    pub scan_threads: usize,
     /// Network fault injection ([`FaultPlan::none()`] by default).
     pub faults: FaultPlan,
     /// Crawler download retry policy ([`RetryPolicy::legacy()`] default).
@@ -605,9 +586,7 @@ impl OpenFtScenario {
                 ..Default::default()
             },
             ambient_query: Some(SimDuration::from_hours(1)),
-            scheduler: SchedulerKind::Calendar,
             scan_cache_entries: DEFAULT_SCAN_CACHE_ENTRIES,
-            scan_threads: p2pmal_crawler::scan_threads_from_env(),
             faults: FaultPlan::none(),
             retry: RetryPolicy::legacy(),
             telemetry: TelemetryConfig::from_env(),
@@ -657,7 +636,6 @@ impl OpenFtScenario {
         let scanner = make_scanner(&world);
         let mut sim = Simulator::new(
             SimConfig {
-                scheduler: self.scheduler,
                 faults: self.faults,
                 shards: self.shards,
                 shard_window_us: self.shard_window_us,
@@ -744,7 +722,6 @@ impl OpenFtScenario {
                 FtCrawlerConfig {
                     workload: self.workload.clone(),
                     scan_cache_entries: self.scan_cache_entries,
-                    scan_threads: self.scan_threads,
                     retry: self.retry,
                     ..Default::default()
                 },
@@ -756,9 +733,6 @@ impl OpenFtScenario {
         for day in 1..=self.days {
             let t0 = std::time::Instant::now();
             sim.run_until(SimTime::from_days(day));
-            // Sim-time barrier: merge any batched scan verdicts before the
-            // day's stats are read, so day lines match the inline path.
-            sim.barrier(crawler);
             let day_wall = t0.elapsed();
             wall += day_wall;
             // Unconditional: every run samples queue depth identically, so

@@ -8,7 +8,7 @@
 
 use crate::log::{CrawlLog, HostKey, HostSizeKey, NameSizeKey, ResponseRecord, ScanOutcome};
 use crate::retry::{classify_gnutella, FailCause, RetryPolicy};
-use crate::scan::{FlushResult, ScanPipeline, ScanService};
+use crate::scan::ScanPipeline;
 use crate::trace::DlTrace;
 use crate::workload::{Workload, WorkloadConfig};
 use p2pmal_gnutella::servent::{
@@ -45,11 +45,6 @@ pub struct GnutellaCrawlerConfig {
     pub retry: RetryPolicy,
     /// Verdict-cache capacity for the scan pipeline (0 disables caching).
     pub scan_cache_entries: usize,
-    /// Scan-service worker threads. `1` (the default) scans every download
-    /// inline; `>1` batches completed downloads and scans them on a
-    /// work-stealing pool between sim-time barriers, merging verdicts back
-    /// in submission order so all logged outcomes stay identical.
-    pub scan_threads: usize,
 }
 
 impl Default for GnutellaCrawlerConfig {
@@ -60,7 +55,6 @@ impl Default for GnutellaCrawlerConfig {
             start_delay: SimDuration::from_secs(300),
             retry: RetryPolicy::legacy(),
             scan_cache_entries: crate::scan::DEFAULT_SCAN_CACHE_ENTRIES,
-            scan_threads: 1,
         }
     }
 }
@@ -82,7 +76,6 @@ pub struct GnutellaCrawler {
     config: GnutellaCrawlerConfig,
     workload: Workload,
     pipeline: ScanPipeline,
-    service: ScanService,
     log: CrawlLog,
     /// Query GUID -> query text, for attributing hits.
     queries: HashMap<Guid, String>,
@@ -108,7 +101,7 @@ impl GnutellaCrawler {
     pub fn new(
         mut servent_config: ServentConfig,
         world: SharedWorld,
-        scanner: Arc<Scanner>,
+        scanner: Scanner,
         config: GnutellaCrawlerConfig,
     ) -> Self {
         servent_config.collect_events = true;
@@ -120,7 +113,6 @@ impl GnutellaCrawler {
             servent: Servent::new(servent_config, world, Default::default()),
             workload: Workload::new(config.workload.clone()),
             pipeline: ScanPipeline::new(scanner, config.scan_cache_entries),
-            service: ScanService::new(config.scan_threads),
             config,
             log: CrawlLog::new(),
             queries: HashMap::new(),
@@ -140,14 +132,8 @@ impl GnutellaCrawler {
         &self.log
     }
 
-    /// Takes the log out of the crawler (end of the run). Any downloads
-    /// still parked in the scan service are merged first so the log is
-    /// complete even without a closing barrier.
+    /// Takes the log out of the crawler (end of the run).
     pub fn take_log(&mut self) -> CrawlLog {
-        if self.service.pending_len() > 0 {
-            let result = self.service.flush(&mut self.pipeline);
-            self.merge_flush(result);
-        }
         std::mem::take(&mut self.log)
     }
 
@@ -276,81 +262,6 @@ impl GnutellaCrawler {
         self.log.record_outcome(record, outcome);
     }
 
-    /// Record every merged verdict from a batch flush, releasing the busy
-    /// keys the deferred downloads were holding.
-    fn merge_flush(&mut self, result: FlushResult) {
-        self.log.scan = self.pipeline.stats();
-        for out in result.outcomes {
-            let detections = out
-                .verdict
-                .detections
-                .iter()
-                .map(|d| d.name.clone())
-                .collect();
-            self.finish(
-                &out.record,
-                ScanOutcome::Scanned {
-                    sha1: out.digest,
-                    len: out.body_len,
-                    detections,
-                },
-            );
-        }
-    }
-
-    /// Drain the scan-service batch: parallel hash+scan, then in-order
-    /// merge. Pool wall time lands in the `scan` profiler bucket, replay in
-    /// `scan_merge`.
-    fn flush_scans(&mut self, ctx: &mut Ctx<'_>) {
-        if self.service.pending_len() == 0 {
-            return;
-        }
-        let wall_start = std::time::Instant::now();
-        let result = self.service.flush(&mut self.pipeline);
-        ctx.record_profile(Subsystem::Scan, result.prepare_nanos);
-        ctx.record_profile(Subsystem::ScanMerge, result.merge_nanos);
-        ctx.registry().record_wall(
-            WallHist::ScanWallUs,
-            wall_start.elapsed().as_micros() as u64,
-        );
-        self.merge_flush(result);
-        self.start_downloads(ctx);
-    }
-
-    /// Park a successfully downloaded body for the next batch flush. All
-    /// verdict-independent accounting happens now, at the same sim instant
-    /// the inline path would have done it; the busy keys stay held until
-    /// the merged verdict lands, suppressing duplicate fetches exactly as
-    /// the recorded outcome would.
-    fn defer_scan(&mut self, ctx: &mut Ctx<'_>, fl: InFlight, body: Vec<u8>) {
-        if fl.attempt > 0 {
-            self.log.retry_successes += 1;
-        }
-        let latency_us = (ctx.now() - fl.record.at).as_micros();
-        ctx.registry()
-            .record(SimHist::DownloadLatencyUs, latency_us);
-        ctx.registry()
-            .record(SimHist::DownloadAttempts, fl.attempt as u64 + 1);
-        ctx.registry().inc(Counter::ScanVerdicts);
-        if ctx.telemetry_on(EventCategory::Download) {
-            let ev = EventBody::DownloadComplete {
-                name: fl.record.filename.clone(),
-                ok: true,
-                latency_us,
-                attempts: fl.attempt + 1,
-            };
-            match &fl.trace {
-                Some(tr) => ctx.emit_spanned(ev, tr.done(fl.attempt)),
-                None => ctx.emit(ev),
-            }
-        }
-        self.service.submit(fl.record, body, fl.trace);
-        if self.service.should_flush() {
-            self.flush_scans(ctx);
-        }
-        self.start_downloads(ctx);
-    }
-
     fn on_download_done(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -362,17 +273,6 @@ impl GnutellaCrawler {
         };
         match result {
             Ok(body) => {
-                // Defer to the batched scan service when it cannot change
-                // observable behavior: backoff-mode retries need the verdict
-                // synchronously (unscannable bodies re-fetch), and per-scan
-                // telemetry must interleave exactly as the inline path does.
-                if self.service.deferring()
-                    && !self.config.retry.uses_backoff()
-                    && !ctx.telemetry_on(EventCategory::Scan)
-                {
-                    self.defer_scan(ctx, fl, body);
-                    return;
-                }
                 let scan_start = std::time::Instant::now();
                 let (sha1, verdict) = ctx.time(Subsystem::Scan, || {
                     self.pipeline.scan(&fl.record.filename, &body)
@@ -593,10 +493,6 @@ impl App for GnutellaCrawler {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.servent.on_start(ctx);
         ctx.set_timer(self.config.start_delay, TIMER_QUERY);
-    }
-
-    fn on_barrier(&mut self, ctx: &mut Ctx<'_>) {
-        self.flush_scans(ctx);
     }
 
     fn on_connected(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, dir: Direction, peer: HostAddr) {

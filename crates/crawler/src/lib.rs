@@ -33,9 +33,6 @@ pub use log::{
 };
 pub use openft::{FtCrawler, FtCrawlerConfig};
 pub use retry::{FailCause, FailureBreakdown, RetryPolicy};
-pub use scan::{
-    scan_threads_from_env, FlushOutcome, FlushResult, ScanPipeline, ScanService, ScanStats,
-    DEFAULT_SCAN_CACHE_ENTRIES,
-};
+pub use scan::{ScanPipeline, ScanStats, DEFAULT_SCAN_CACHE_ENTRIES};
 pub use trace::DlTrace;
 pub use workload::{Workload, WorkloadConfig, GENERIC_TERMS};

@@ -4,7 +4,7 @@
 
 use crate::log::{CrawlLog, HostKey, HostSizeKey, NameSizeKey, ResponseRecord, ScanOutcome};
 use crate::retry::{classify_openft, FailCause, RetryPolicy};
-use crate::scan::{FlushResult, ScanPipeline, ScanService};
+use crate::scan::ScanPipeline;
 use crate::trace::DlTrace;
 use crate::workload::{Workload, WorkloadConfig};
 use p2pmal_gnutella::servent::SharedWorld;
@@ -16,7 +16,6 @@ use p2pmal_openft::node::{FtConfig, FtDownloadError, FtEvent, FtNode};
 use p2pmal_openft::packet::SearchResult;
 use p2pmal_scanner::Scanner;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 const CRAWLER_BASE: u64 = 1 << 48;
 const TIMER_QUERY: u64 = CRAWLER_BASE | 1;
@@ -35,11 +34,6 @@ pub struct FtCrawlerConfig {
     pub retry: RetryPolicy,
     /// Verdict-cache capacity for the scan pipeline (0 disables caching).
     pub scan_cache_entries: usize,
-    /// Scan-service worker threads. `1` (the default) scans every download
-    /// inline; `>1` batches completed downloads and scans them on a
-    /// work-stealing pool between sim-time barriers, merging verdicts back
-    /// in submission order so all logged outcomes stay identical.
-    pub scan_threads: usize,
 }
 
 impl Default for FtCrawlerConfig {
@@ -50,7 +44,6 @@ impl Default for FtCrawlerConfig {
             start_delay: SimDuration::from_secs(300),
             retry: RetryPolicy::legacy(),
             scan_cache_entries: crate::scan::DEFAULT_SCAN_CACHE_ENTRIES,
-            scan_threads: 1,
         }
     }
 }
@@ -73,7 +66,6 @@ pub struct FtCrawler {
     config: FtCrawlerConfig,
     workload: Workload,
     pipeline: ScanPipeline,
-    service: ScanService,
     log: CrawlLog,
     /// Search id -> query text.
     queries: HashMap<u32, String>,
@@ -94,7 +86,7 @@ impl FtCrawler {
     pub fn new(
         mut node_config: FtConfig,
         world: SharedWorld,
-        scanner: Arc<Scanner>,
+        scanner: Scanner,
         config: FtCrawlerConfig,
     ) -> Self {
         node_config.collect_events = true;
@@ -105,7 +97,6 @@ impl FtCrawler {
             node: FtNode::new(node_config, world, Default::default()),
             workload: Workload::new(config.workload.clone()),
             pipeline: ScanPipeline::new(scanner, config.scan_cache_entries),
-            service: ScanService::new(config.scan_threads),
             config,
             log: CrawlLog::new(),
             queries: HashMap::new(),
@@ -124,14 +115,8 @@ impl FtCrawler {
         &self.log
     }
 
-    /// Takes the log out of the crawler (end of the run). Any downloads
-    /// still parked in the scan service are merged first so the log is
-    /// complete even without a closing barrier.
+    /// Takes the log out of the crawler (end of the run).
     pub fn take_log(&mut self) -> CrawlLog {
-        if self.service.pending_len() > 0 {
-            let result = self.service.flush(&mut self.pipeline);
-            self.merge_flush(result);
-        }
         std::mem::take(&mut self.log)
     }
 
@@ -246,81 +231,6 @@ impl FtCrawler {
         self.log.record_outcome(record, outcome);
     }
 
-    /// Record every merged verdict from a batch flush, releasing the busy
-    /// keys the deferred downloads were holding.
-    fn merge_flush(&mut self, result: FlushResult) {
-        self.log.scan = self.pipeline.stats();
-        for out in result.outcomes {
-            let detections = out
-                .verdict
-                .detections
-                .iter()
-                .map(|d| d.name.clone())
-                .collect();
-            self.finish(
-                &out.record,
-                ScanOutcome::Scanned {
-                    sha1: out.digest,
-                    len: out.body_len,
-                    detections,
-                },
-            );
-        }
-    }
-
-    /// Drain the scan-service batch: parallel hash+scan, then in-order
-    /// merge. Pool wall time lands in the `scan` profiler bucket, replay in
-    /// `scan_merge`.
-    fn flush_scans(&mut self, ctx: &mut Ctx<'_>) {
-        if self.service.pending_len() == 0 {
-            return;
-        }
-        let wall_start = std::time::Instant::now();
-        let result = self.service.flush(&mut self.pipeline);
-        ctx.record_profile(Subsystem::Scan, result.prepare_nanos);
-        ctx.record_profile(Subsystem::ScanMerge, result.merge_nanos);
-        ctx.registry().record_wall(
-            WallHist::ScanWallUs,
-            wall_start.elapsed().as_micros() as u64,
-        );
-        self.merge_flush(result);
-        self.start_downloads(ctx);
-    }
-
-    /// Park a successfully downloaded body for the next batch flush. All
-    /// verdict-independent accounting happens now, at the same sim instant
-    /// the inline path would have done it; the busy keys stay held until
-    /// the merged verdict lands, suppressing duplicate fetches exactly as
-    /// the recorded outcome would.
-    fn defer_scan(&mut self, ctx: &mut Ctx<'_>, fl: InFlight, body: Vec<u8>) {
-        if fl.attempt > 0 {
-            self.log.retry_successes += 1;
-        }
-        let latency_us = (ctx.now() - fl.record.at).as_micros();
-        ctx.registry()
-            .record(SimHist::DownloadLatencyUs, latency_us);
-        ctx.registry()
-            .record(SimHist::DownloadAttempts, fl.attempt as u64 + 1);
-        ctx.registry().inc(Counter::ScanVerdicts);
-        if ctx.telemetry_on(EventCategory::Download) {
-            let ev = EventBody::DownloadComplete {
-                name: fl.record.filename.clone(),
-                ok: true,
-                latency_us,
-                attempts: fl.attempt + 1,
-            };
-            match &fl.trace {
-                Some(tr) => ctx.emit_spanned(ev, tr.done(fl.attempt)),
-                None => ctx.emit(ev),
-            }
-        }
-        self.service.submit(fl.record, body, fl.trace);
-        if self.service.should_flush() {
-            self.flush_scans(ctx);
-        }
-        self.start_downloads(ctx);
-    }
-
     fn on_download_done(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -332,17 +242,6 @@ impl FtCrawler {
         };
         match result {
             Ok(body) => {
-                // Defer to the batched scan service when it cannot change
-                // observable behavior: backoff-mode retries need the verdict
-                // synchronously (unscannable bodies re-fetch), and per-scan
-                // telemetry must interleave exactly as the inline path does.
-                if self.service.deferring()
-                    && !self.config.retry.uses_backoff()
-                    && !ctx.telemetry_on(EventCategory::Scan)
-                {
-                    self.defer_scan(ctx, fl, body);
-                    return;
-                }
                 let scan_start = std::time::Instant::now();
                 let (sha1, verdict) = ctx.time(Subsystem::Scan, || {
                     self.pipeline.scan(&fl.record.filename, &body)
@@ -545,10 +444,6 @@ impl App for FtCrawler {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.node.on_start(ctx);
         ctx.set_timer(self.config.start_delay, TIMER_QUERY);
-    }
-
-    fn on_barrier(&mut self, ctx: &mut Ctx<'_>) {
-        self.flush_scans(ctx);
     }
 
     fn on_connected(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, dir: Direction, peer: HostAddr) {

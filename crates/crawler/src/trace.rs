@@ -21,8 +21,7 @@
 
 use p2pmal_netsim::{telemetry_span as span, SpanCtx};
 
-/// Causal identity of one in-flight download, copied through retries and
-/// into the batched scan service.
+/// Causal identity of one in-flight download, copied through retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DlTrace {
     /// Trace id of the query this download descends from.

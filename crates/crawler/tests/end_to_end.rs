@@ -30,10 +30,8 @@ fn world(seed: u64, roster: Roster) -> SharedWorld {
     )
 }
 
-fn scanner(world: &SharedWorld) -> Arc<Scanner> {
-    Arc::new(Scanner::new(
-        world.roster.signature_db().unwrap().build().unwrap(),
-    ))
+fn scanner(world: &SharedWorld) -> Scanner {
+    Scanner::new(world.roster.signature_db().unwrap().build().unwrap())
 }
 
 #[test]

@@ -1,13 +1,12 @@
-//! The simulator's event queue: a thin wrapper that binds [`EventKind`] to
-//! one of the [`crate::queue`] schedulers. Simultaneous events dispatch in
-//! scheduling order (the schedulers' `(time, seq)` contract), keeping runs
-//! deterministic regardless of which scheduler backs the queue.
+//! The simulator's events and its event queue, which binds [`EventKind`] to
+//! the [`crate::queue`] calendar scheduler. Simultaneous events dispatch in
+//! scheduling order (the scheduler's `(time, seq)` contract), keeping runs
+//! deterministic.
 
 use crate::addr::HostAddr;
 use crate::app::{ConnId, NodeId, TimerToken};
 use crate::pool::Payload;
-use crate::queue::{CalendarQueue, HeapQueue, Scheduler, SchedulerKind};
-use crate::time::SimTime;
+use crate::queue::CalendarQueue;
 
 #[derive(Debug)]
 pub(crate) enum EventKind {
@@ -36,83 +35,26 @@ pub(crate) enum EventKind {
     Timer { node: NodeId, token: TimerToken },
 }
 
-enum QueueImpl {
-    Calendar(CalendarQueue<EventKind>),
-    Heap(HeapQueue<EventKind>),
-}
-
-/// Deterministic event queue.
-pub(crate) struct EventQueue {
-    q: QueueImpl,
-    high_water: usize,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::new(SchedulerKind::Calendar)
-    }
-}
-
-impl EventQueue {
-    pub fn new(kind: SchedulerKind) -> Self {
-        let q = match kind {
-            SchedulerKind::Calendar => QueueImpl::Calendar(CalendarQueue::default()),
-            SchedulerKind::Heap => QueueImpl::Heap(HeapQueue::default()),
-        };
-        EventQueue { q, high_water: 0 }
-    }
-
-    pub fn push(&mut self, time: SimTime, kind: EventKind) {
-        match &mut self.q {
-            QueueImpl::Calendar(q) => q.push(time, kind),
-            QueueImpl::Heap(q) => q.push(time, kind),
-        }
-        let len = self.len();
-        if len > self.high_water {
-            self.high_water = len;
-        }
-    }
-
-    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        match &mut self.q {
-            QueueImpl::Calendar(q) => q.pop(),
-            QueueImpl::Heap(q) => q.pop(),
-        }
-    }
-
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.q {
-            QueueImpl::Calendar(q) => q.peek_time(),
-            QueueImpl::Heap(q) => q.peek_time(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match &self.q {
-            QueueImpl::Calendar(q) => q.len(),
-            QueueImpl::Heap(q) => q.len(),
-        }
-    }
-
-    /// Peak number of simultaneously scheduled events.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-}
+/// The serial simulator's deterministic event queue: the calendar queue
+/// over [`EventKind`], the same scheduler each shard of the sharded engine
+/// runs.
+pub(crate) type EventQueue = CalendarQueue<EventKind>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::{HeapQueue, Scheduler};
+    use crate::time::SimTime;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
-    fn queues() -> [EventQueue; 2] {
-        [
-            EventQueue::new(SchedulerKind::Calendar),
-            EventQueue::new(SchedulerKind::Heap),
-        ]
+    fn timer(token: u64) -> EventKind {
+        EventKind::Timer {
+            node: NodeId(0),
+            token,
+        }
     }
 
     fn token(kind: EventKind) -> u64 {
@@ -122,77 +64,45 @@ mod tests {
         }
     }
 
+    /// Pushes `(time, token)` timers into the event queue and into the
+    /// reference heap, then drains both: the event queue must dispatch in
+    /// the heap's `(time, insertion order)` order.
+    fn drain_matches_heap(pushes: &[(u64, u64)]) -> Vec<u64> {
+        let mut q = EventQueue::default();
+        let mut heap = HeapQueue::default();
+        for &(at, tok) in pushes {
+            q.push(t(at), timer(tok));
+            heap.push(t(at), tok);
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, kind)| token(kind))
+            .collect();
+        let oracle: Vec<u64> = std::iter::from_fn(|| heap.pop())
+            .map(|(_, tok)| tok)
+            .collect();
+        assert_eq!(order, oracle);
+        order
+    }
+
     #[test]
     fn pops_in_time_order() {
-        for mut q in queues() {
-            q.push(
-                t(30),
-                EventKind::Timer {
-                    node: NodeId(0),
-                    token: 3,
-                },
-            );
-            q.push(
-                t(10),
-                EventKind::Timer {
-                    node: NodeId(0),
-                    token: 1,
-                },
-            );
-            q.push(
-                t(20),
-                EventKind::Timer {
-                    node: NodeId(0),
-                    token: 2,
-                },
-            );
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, kind)| token(kind))
-                .collect();
-            assert_eq!(order, [1, 2, 3]);
-        }
+        assert_eq!(drain_matches_heap(&[(30, 3), (10, 1), (20, 2)]), [1, 2, 3]);
     }
 
     #[test]
     fn ties_break_on_insertion_order() {
-        for mut q in queues() {
-            for tok in 0..100 {
-                q.push(
-                    t(5),
-                    EventKind::Timer {
-                        node: NodeId(0),
-                        token: tok,
-                    },
-                );
-            }
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|(_, kind)| token(kind))
-                .collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        }
+        let pushes: Vec<(u64, u64)> = (0..100).map(|tok| (5, tok)).collect();
+        assert_eq!(drain_matches_heap(&pushes), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_time_reports_earliest() {
-        for mut q in queues() {
-            assert_eq!(q.peek_time(), None);
-            q.push(
-                t(50),
-                EventKind::Timer {
-                    node: NodeId(0),
-                    token: 0,
-                },
-            );
-            q.push(
-                t(5),
-                EventKind::Timer {
-                    node: NodeId(0),
-                    token: 0,
-                },
-            );
-            assert_eq!(q.peek_time(), Some(t(5)));
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.high_water(), 2);
-        }
+        let mut q = EventQueue::default();
+        assert_eq!(q.peek_time(), None);
+        q.push(t(50), timer(0));
+        q.push(t(5), timer(0));
+        assert_eq!(q.peek_time(), Some(t(5)));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.high_water(), 2);
     }
 }

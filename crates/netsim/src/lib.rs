@@ -17,7 +17,7 @@
 //! Determinism contract: given the same seed and the same sequence of API
 //! calls, a simulation produces byte-identical event orderings. All
 //! randomness flows through one seeded [`rand::rngs::StdRng`]; ties in the
-//! event heap break on a monotonically increasing sequence number.
+//! event queue break on a monotonically increasing sequence number.
 //!
 //! ```
 //! use p2pmal_netsim::{Simulator, SimConfig, App, Ctx, ConnId, Direction, NodeSpec, SimTime};
@@ -71,7 +71,7 @@ pub use compact::{FifoMap, FifoSet, KeyHash, VecMap};
 pub use faults::{ChurnSpec, FaultPlan};
 pub use metrics::{process_rss_kb, MemoryStats, SimMetrics};
 pub use profile::{Subsystem, SubsystemProfile, SUBSYSTEM_COUNT};
-pub use queue::{CalendarQueue, HeapQueue, Scheduler, SchedulerKind};
+pub use queue::{CalendarQueue, Scheduler};
 pub use shard::shard_of;
 pub use sim::{NodeSpec, SimConfig, Simulator};
 pub use telemetry::span as telemetry_span;

@@ -21,10 +21,9 @@ pub const SUBSYSTEM_COUNT: usize = 7;
 ///
 /// `Scheduler`, `App` and `TcpPump` partition the run loop: queue + conn
 /// table + dispatch overhead, app callback bodies, and buffered-action
-/// application (dominated by the byte pump). `Scan`, `ScanMerge` and
-/// `QueryMatch` are *nested* inside `App` — apps opt in via
-/// [`crate::Ctx::time`] / [`crate::Ctx::record_profile`] around their
-/// scan-pipeline and query-matching work.
+/// application (dominated by the byte pump). `Scan` and `QueryMatch` are
+/// *nested* inside `App` — apps opt in via [`crate::Ctx::time`] around
+/// their scan-pipeline and query-matching work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Subsystem {
     /// Event queue pop/push, connection table, dispatch overhead.
@@ -33,11 +32,10 @@ pub enum Subsystem {
     App = 1,
     /// Applying buffered actions: the simulated-TCP byte pump.
     TcpPump = 2,
-    /// Scan-pipeline work: hashing + signature engine, including the
-    /// parallel batch phases of the scan service (nested inside `App`).
+    /// Scan-pipeline work: hashing + signature engine (nested inside `App`).
     Scan = 3,
-    /// Deterministic in-order merge of batched scan verdicts back into the
-    /// crawl log at a sim-time barrier (nested inside `App`).
+    /// Nothing records into this bucket, so it always reads 0. It stays
+    /// only because the study benchmark still names it.
     ScanMerge = 4,
     /// Query matching against share libraries (nested inside `App`).
     QueryMatch = 5,

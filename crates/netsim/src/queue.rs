@@ -1,36 +1,26 @@
-//! Pluggable event schedulers.
+//! The event scheduler.
 //!
-//! Both queues implement the same deterministic contract: items pushed with
-//! a [`SimTime`] pop back in `(time, insertion order)` order. The original
-//! implementation, [`HeapQueue`], is a `BinaryHeap` over `(time, seq)` —
-//! every push and pop costs `O(log n)` comparisons on a heap that reaches
-//! hundreds of thousands of entries at paper scale.
+//! The [`Scheduler`] contract is deterministic: items pushed with a
+//! [`SimTime`] pop back in `(time, insertion order)` order. The original
+//! implementation, a `BinaryHeap` over `(time, seq)`, cost `O(log n)`
+//! comparisons per push and pop on a heap that reaches hundreds of
+//! thousands of entries at paper scale.
 //!
-//! [`CalendarQueue`] replaces it on the simulator hot path (Brown, CACM
-//! 1988): time is hashed into a power-of-two ring of buckets of fixed
-//! width, so a push is `O(1)` ring insertion and a pop only ever sorts the
-//! one bucket the clock currently points at. Discrete-event traffic is
+//! [`CalendarQueue`] replaced it (Brown, CACM 1988) and is the only
+//! scheduler both engines run: time is hashed into a power-of-two ring of
+//! buckets of fixed width, so a push is `O(1)` ring insertion and a pop
+//! only ever sorts the one bucket the clock currently points at. Discrete-event traffic is
 //! heavily clustered around "now" (link transmit delays, sub-second
 //! latencies, short timers), which keeps buckets small; events beyond the
 //! ring's horizon go to an overflow heap and are pulled forward as the
 //! cursor reaches them, so far-future timers stay cheap too.
 //!
-//! `HeapQueue` is kept both as the reference oracle for the equivalence
-//! tests below and for the head-to-head scheduler benchmark in
-//! `crates/bench/benches/perf_simulator.rs`.
+//! The binary heap survives, test-only, as `HeapQueue`: the reference
+//! oracle for the equivalence tests below and in `event.rs`.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Selects which scheduler backs a simulator run (see `SimConfig`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// The bucketed calendar queue (default).
-    Calendar,
-    /// The original `(time, seq)` binary heap, kept for benchmarking.
-    Heap,
-}
 
 /// Log2 of the bucket width in microseconds: 2^15 µs ≈ 32.8 ms per bucket.
 /// Chosen to bracket the simulated latency floor (20 ms) so consecutive
@@ -101,12 +91,15 @@ pub trait Scheduler<T> {
     }
 }
 
-/// The original `(time, seq)` binary-heap scheduler.
-pub struct HeapQueue<T> {
+/// The original `(time, seq)` binary-heap scheduler, kept as the test
+/// oracle.
+#[cfg(test)]
+pub(crate) struct HeapQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
 }
 
+#[cfg(test)]
 impl<T> Default for HeapQueue<T> {
     fn default() -> Self {
         HeapQueue {
@@ -116,6 +109,7 @@ impl<T> Default for HeapQueue<T> {
     }
 }
 
+#[cfg(test)]
 impl<T> Scheduler<T> for HeapQueue<T> {
     fn push(&mut self, time: SimTime, item: T) {
         let seq = self.next_seq;

@@ -7,7 +7,7 @@ use crate::faults::{ChunkFate, FaultPlan};
 use crate::metrics::SimMetrics;
 use crate::pool::{BufferPool, Payload};
 use crate::profile::Subsystem;
-use crate::queue::SchedulerKind;
+use crate::queue::Scheduler;
 use crate::shard::ShardedSim;
 use crate::telemetry::{
     EventBody, EventCategory, FaultKind, Gauge, SimHist, Telemetry, TelemetryEvent,
@@ -32,10 +32,6 @@ pub struct SimConfig {
     /// many bytes, exercising protocol reframing. `None` delivers each
     /// `send` as one chunk (cheaper for month-scale runs).
     pub mss: Option<usize>,
-    /// Which event scheduler backs the run. [`SchedulerKind::Calendar`] is
-    /// the fast default; [`SchedulerKind::Heap`] keeps the original binary
-    /// heap for head-to-head benchmarks. Both dispatch identically.
-    pub scheduler: SchedulerKind,
     /// Seed-deterministic fault injection. The default
     /// [`FaultPlan::none()`] draws no randomness and leaves runs
     /// byte-identical to a fault-free simulator.
@@ -48,8 +44,7 @@ pub struct SimConfig {
     /// The sharded trajectory is deterministic and identical for *every*
     /// shard count `>= 2`, but distinct from the serial one (the serial
     /// loop threads all randomness through one RNG in dispatch order, which
-    /// no parallel schedule can reproduce). Sharded runs always use the
-    /// calendar queue; `scheduler` is ignored.
+    /// no parallel schedule can reproduce).
     pub shards: usize,
     /// Lookahead window length for sharded runs, in microseconds. Cross-
     /// shard latency is floored at one window, so shorter windows tighten
@@ -65,7 +60,6 @@ impl Default for SimConfig {
             upload_bps: (16_000, 128_000),
             download_bps: (64_000, 512_000),
             mss: None,
-            scheduler: SchedulerKind::Calendar,
             faults: FaultPlan::none(),
             shards: 1,
             shard_window_us: 1_000_000,
@@ -208,7 +202,7 @@ pub struct Simulator {
 
 impl Simulator {
     pub fn new(config: SimConfig, seed: u64) -> Self {
-        let queue = EventQueue::new(config.scheduler);
+        let queue = EventQueue::default();
         let sharded = if config.shards > 1 {
             Some(Box::new(ShardedSim::new(config.clone(), seed)))
         } else {
@@ -661,15 +655,6 @@ impl Simulator {
             .record(Subsystem::TcpPump, mid.elapsed().as_nanos() as u64);
         self.sync_stats();
         Some(r)
-    }
-
-    /// Dispatches [`App::on_barrier`] to one node: the harness's sim-time
-    /// barrier seam. Call after `run_until` reaches a quiescent point so
-    /// apps with deferred work (the batched scan service) settle it before
-    /// the harness inspects their state. No-op for offline nodes and for
-    /// apps with the default `on_barrier`.
-    pub fn barrier(&mut self, node: NodeId) {
-        self.with_node(node, |app, ctx| app.on_barrier(ctx));
     }
 
     fn with_app<F: FnOnce(&mut Box<dyn App>, &mut Ctx<'_>)>(&mut self, node: NodeId, f: F) {

@@ -74,8 +74,8 @@ impl Verdict {
 /// Reusable decompression buffers for archive traversal: one per nesting
 /// level. [`Scanner::scan_with_scratch`] extracts every archive member into
 /// these instead of allocating a fresh `Vec` per member, so a long batch of
-/// scans settles into zero allocator traffic per body. Each worker thread of
-/// the batched scan service owns one.
+/// scans settles into zero allocator traffic per body. Each crawler's scan
+/// pipeline owns one.
 #[derive(Default)]
 pub struct ScanScratch {
     levels: Vec<Vec<u8>>,

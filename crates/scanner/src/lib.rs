@@ -12,9 +12,7 @@
 //! * [`filetype`] — magic-byte and extension-based file typing (the study
 //!   classifies responses into executables, archives and media), and
 //! * [`engine`] — the scan engine, which recurses into ZIP archives exactly
-//!   like the study's scanner had to, and
-//! * [`batch`] — a work-stealing thread pool that scans whole batches of
-//!   bodies between the harness's sim-time barriers.
+//!   like the study's scanner had to.
 //!
 //! ```
 //! use p2pmal_scanner::{SignatureDb, Scanner};
@@ -26,7 +24,6 @@
 //! ```
 
 pub mod aho;
-pub mod batch;
 pub mod cache;
 pub mod db;
 pub mod engine;
@@ -34,7 +31,6 @@ pub mod filetype;
 pub mod sig;
 
 pub use aho::AhoCorasick;
-pub use batch::{ScanJob, ScanPool};
 pub use cache::{VerdictCache, VerdictCacheStats};
 pub use db::{CompiledDb, SignatureDb, SignatureError};
 pub use engine::{Detection, ScanConfig, ScanScratch, Scanner, Verdict};
