@@ -131,6 +131,14 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
             let mut chain = 0;
             while cand != usize::MAX && pos - cand <= WINDOW && chain < MAX_CHAIN {
                 let limit = (data.len() - pos).min(MAX_MATCH);
+                // A candidate that differs at `best_len` cannot beat the
+                // current best: skip the full compare (long zero runs
+                // otherwise walk the whole chain byte by byte).
+                if data[cand + best_len] != data[pos + best_len] {
+                    cand = prev[cand % WINDOW];
+                    chain += 1;
+                    continue;
+                }
                 let mut l = 0;
                 while l < limit && data[cand + l] == data[pos + l] {
                     l += 1;

@@ -241,6 +241,27 @@ impl QrpFilter {
         }
     }
 
+    /// Sets slots `offset..offset + deltas.len()` from their patch deltas
+    /// (`delta < 0` is `present`, see the type doc). Whole aligned 64-slot
+    /// words are assigned from the packed delta sign bits; only the
+    /// unaligned head and tail go slot by slot.
+    fn patch(&mut self, offset: usize, deltas: &[u8]) {
+        let head = (offset.next_multiple_of(64) - offset).min(deltas.len());
+        let (head_deltas, rest) = deltas.split_at(head);
+        for (i, &d) in head_deltas.iter().enumerate() {
+            self.set(offset + i, (d as i8) < 0);
+        }
+        let mut slot = offset + head;
+        let mut words = rest.chunks_exact(64);
+        for w in &mut words {
+            self.bits[slot / 64] = sign_bits(w);
+            slot += 64;
+        }
+        for (i, &d) in words.remainder().iter().enumerate() {
+            self.set(slot + i, (d as i8) < 0);
+        }
+    }
+
     #[inline]
     fn present(&self, slot: usize) -> bool {
         self.bits[slot / 64] >> (slot % 64) & 1 != 0
@@ -265,6 +286,23 @@ impl QrpFilter {
             .iter()
             .all(|&h| self.present((h >> (64 - self.log2_size as u64)) as usize))
     }
+}
+
+/// Packs the sign bits of 64 bytes into one word, bit `i` from byte `i`.
+/// Per 8-byte lane: isolate each byte's top bit at the byte's bit 0, then
+/// one multiply gathers the eight bits into the top byte (each bit lands on
+/// its own position, so no partial product carries).
+fn sign_bits(bytes: &[u8]) -> u64 {
+    debug_assert_eq!(bytes.len(), 64);
+    bytes
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |word, (lane, b)| {
+            let x = u64::from_le_bytes(b.try_into().expect("8-byte lane"));
+            let packed =
+                ((x & 0x8080_8080_8080_8080) >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+            word | packed << (8 * lane)
+        })
 }
 
 /// A receiver-side filter under reconstruction from RESET/PATCH messages.
@@ -313,20 +351,19 @@ impl QrpReceiver {
                 if *entry_bits != 8 {
                     return Err(QrpError::UnsupportedEntryBits(*entry_bits));
                 }
-                let raw = match compressor {
-                    Compressor::None => data.clone(),
+                let inflated;
+                let raw: &[u8] = match compressor {
+                    Compressor::None => data,
                     Compressor::Deflate => {
-                        inflate(data, filter.len() + 1024).map_err(|_| QrpError::BadCompression)?
+                        inflated = inflate(data, filter.len() + 1024)
+                            .map_err(|_| QrpError::BadCompression)?;
+                        &inflated
                     }
                 };
                 if self.next_offset + raw.len() > filter.len() {
                     return Err(QrpError::PatchOverrun);
                 }
-                for (i, &d) in raw.iter().enumerate() {
-                    // See the QrpFilter doc: one patch per slot per cycle,
-                    // so `delta < 0` is exactly `entry < infinity`.
-                    filter.set(self.next_offset + i, (d as i8) < 0);
-                }
+                filter.patch(self.next_offset, raw);
                 self.next_offset += raw.len();
             }
         }
@@ -651,6 +688,55 @@ mod tests {
             rx.apply(m).unwrap();
         }
         assert_eq!(rx.filter().unwrap().population(), t.len());
+    }
+
+    /// The compressed wire bytes of a fixed set of tables, pinned by SHA-1:
+    /// the DEFLATE matcher may get faster, never different.
+    #[test]
+    fn compressed_wire_bytes_are_pinned() {
+        let named = |n: usize, name: &dyn Fn(usize) -> String| {
+            let mut t = QrpTable::default_table();
+            for i in 0..n {
+                t.insert_name(&name(i));
+            }
+            t
+        };
+        let cases = [
+            (
+                "empty",
+                QrpTable::default_table(),
+                "ea7522654c0ea9e113448a07a76b1779f1e7b19e",
+            ),
+            (
+                "small",
+                named(20, &|i| format!("artist{}_song_{i}_live.mp3", i % 7)),
+                "615d85551cd60d639a44b9f936a3843199267542",
+            ),
+            (
+                "populated",
+                named(200, &|i| format!("some_shared_file_number_{i}_final.mp3")),
+                "2f4dff94ed038391a512fc941b5c75168fbfe948",
+            ),
+            (
+                "dense",
+                named(3000, &|i| {
+                    format!("{} album{} track{i}.{}", i * 7919 % 10007, i % 97, i % 5)
+                }),
+                "b4cdb2260590f5cd8bee1049dd00f6b169bedae2",
+            ),
+            (
+                "saturated",
+                QrpTable::saturated(DEFAULT_LOG2_SIZE, DEFAULT_INFINITY),
+                "7ff8ea7b03c05c9a407090657a6a557ab49453c9",
+            ),
+        ];
+        for (label, table, want) in cases {
+            let mut h = p2pmal_hashes::Sha1::new();
+            for m in table.to_messages(2048, true) {
+                h.update(&m.encode());
+            }
+            assert_eq!(h.finalize().to_hex(), want, "{label} table");
+        }
     }
 
     #[test]

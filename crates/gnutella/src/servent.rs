@@ -310,6 +310,10 @@ pub struct Servent {
     world: SharedWorld,
     library: HostLibrary,
     guid: Guid,
+    /// Our QRP table's encoded RESET/PATCH payloads, built by the first
+    /// `send_qrp` and resent verbatim on every later leaf->ultrapeer
+    /// connection: the library never changes after construction.
+    qrp_payloads: Option<Vec<Vec<u8>>>,
     conns: VecMap<ConnId, ConnKind>,
     /// Current outbound overlay dials/sessions, to avoid duplicate dials.
     outbound_targets: VecMap<ConnId, HostAddr>,
@@ -343,6 +347,7 @@ impl Servent {
             world,
             library,
             guid: Guid([0u8; 16]), // replaced in on_start with a seeded GUID
+            qrp_payloads: None,
             conns: VecMap::new(),
             outbound_targets: VecMap::new(),
             seen: FifoSet::bounded(SEEN_BOUND),
@@ -400,6 +405,10 @@ impl Servent {
     fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
         let mut b = size_of::<Self>() as u64;
+        if let Some(payloads) = &self.qrp_payloads {
+            b += (payloads.capacity() * size_of::<Vec<u8>>()) as u64;
+            b += payloads.iter().map(|p| p.capacity() as u64).sum::<u64>();
+        }
         b += self.conns.heap_bytes();
         for k in self.conns.values() {
             if let ConnKind::Peer(p) = k {
@@ -593,23 +602,22 @@ impl Servent {
         }
     }
 
-    /// Sends our QRP table on a fresh leaf->ultrapeer connection. Echo-worm
-    /// hosts saturate the table so every query reaches them.
+    /// Sends our QRP table on a fresh leaf->ultrapeer connection. The table
+    /// is encoded once, on the first connection; each message still draws a
+    /// fresh GUID.
     fn send_qrp(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        let table = if self.library.has_echo() {
-            // Worm behaviour: claim to match everything.
-            saturated_table()
-        } else {
-            let mut t = QrpTable::default_table();
-            for f in self.library.files() {
-                t.insert_name(&f.name);
-            }
-            t
-        };
-        for msg in table.to_messages(2048, true) {
+        let library = &self.library;
+        let payloads = self.qrp_payloads.get_or_insert_with(|| {
+            qrp_table(library)
+                .to_messages(2048, true)
+                .iter()
+                .map(RouteMsg::encode)
+                .collect()
+        });
+        for payload in payloads.iter() {
             let guid = Guid::random(ctx.rng());
             let mut wire = Vec::new();
-            encode_message(guid, MsgType::Route, 1, 0, &msg.encode(), &mut wire);
+            encode_message(guid, MsgType::Route, 1, 0, payload, &mut wire);
             ctx.send(conn, &wire);
         }
     }
@@ -1256,11 +1264,17 @@ impl Servent {
     }
 }
 
-/// A QRP table with every slot present (worm saturation). Its wire form is
-/// identical to the receiver-built saturated table used previously (all
-/// entries 1, so every delta is `-(infinity - 1)`).
-fn saturated_table() -> QrpTable {
-    QrpTable::saturated(crate::qrp::DEFAULT_LOG2_SIZE, crate::qrp::DEFAULT_INFINITY)
+/// The QRP table a leaf sharing `library` advertises. Echo-worm hosts
+/// claim to match everything with a saturated table (every slot present).
+fn qrp_table(library: &HostLibrary) -> QrpTable {
+    if library.has_echo() {
+        return QrpTable::saturated(crate::qrp::DEFAULT_LOG2_SIZE, crate::qrp::DEFAULT_INFINITY);
+    }
+    let mut t = QrpTable::default_table();
+    for f in library.files() {
+        t.insert_name(&f.name);
+    }
+    t
 }
 
 impl App for Servent {

@@ -395,3 +395,68 @@ fn leaf_slot_rejection_redirects_to_other_ultrapeers() {
         "leaf found the open ultrapeer via X-Try-Ultrapeers"
     );
 }
+
+/// The ultrapeer's live leaf connection and the QRP filter received on it.
+fn leaf_filter(up: &Servent) -> (ConnId, crate::qrp::QrpFilter) {
+    let mut leaves = up.conns.iter().filter_map(|(&conn, k)| match k {
+        ConnKind::Peer(p) if !p.ultrapeer => Some((conn, p.qrp.filter()?.clone())),
+        _ => None,
+    });
+    let found = leaves.next().expect("a leaf with a received QRP table");
+    assert!(leaves.next().is_none(), "one live leaf connection");
+    found
+}
+
+/// A leaf reconnecting to its ultrapeer resends the table it encoded on
+/// its first connection: after each of two successive connections the
+/// ultrapeer's filter equals the leaf's table slot for slot, for a plain
+/// library and for an echo worm's saturated one.
+#[test]
+fn qrp_table_is_resent_exactly_on_reconnect() {
+    let w = world(6);
+    let mut plain = HostLibrary::new();
+    for i in 0..5 {
+        plain.add_benign(w.catalog.item(i), 0);
+    }
+    let mut echo = HostLibrary::new();
+    let mut rng = StdRng::seed_from_u64(10);
+    echo.infect(w.roster.get(FamilyId(0)), &w.catalog, &mut rng);
+    assert!(echo.has_echo());
+
+    for lib in [plain, echo] {
+        let mut net = build_net(6, 1, vec![(lib, false)]);
+        let (up, leaf) = (net.ups[0], net.leaves[0]);
+        let table = with_servent(&mut net.sim, leaf, |s, _| qrp_table(s.library()));
+        let log2 = table.log2_size() as u64;
+        let mut up_conns = Vec::new();
+        for round in 0..2 {
+            if round > 0 {
+                // The leaf drops its only overlay connection; maintenance
+                // redials the ultrapeer on its next tick.
+                with_servent(&mut net.sim, leaf, |s, ctx| {
+                    let (&conn, _) = s
+                        .conns
+                        .iter()
+                        .find(|(_, k)| matches!(k, ConnKind::Peer(_)))
+                        .expect("leaf connected");
+                    s.drop_conn(ctx, conn);
+                });
+                let until = net.sim.now() + SimDuration::from_secs(120);
+                net.sim.run_until(until);
+            }
+            let (conn, filter) = with_servent(&mut net.sim, up, |s, _| leaf_filter(s));
+            assert_eq!(filter.len(), table.len());
+            assert_eq!(filter.population(), table.population());
+            for slot in 0..table.len() as u64 {
+                let h = [slot << (64 - log2)];
+                assert_eq!(
+                    filter.might_match_hashes(&h),
+                    table.might_match_hashes(&h),
+                    "round {round}, slot {slot}"
+                );
+            }
+            up_conns.push(conn);
+        }
+        assert_ne!(up_conns[0], up_conns[1], "second round is a new connection");
+    }
+}
