@@ -108,11 +108,27 @@ fn encode_len(len: usize, out: &mut Vec<u8>) {
 /// Parses a GGEP block from the front of `data`. Returns the extensions and
 /// the number of bytes consumed.
 pub fn parse(data: &[u8]) -> Result<(Vec<Extension>, usize), GgepError> {
+    let mut exts = Vec::new();
+    let used = walk(data, |id, body| {
+        exts.push(Extension {
+            id: id.to_string(),
+            data: body.to_vec(),
+        })
+    })?;
+    Ok((exts, used))
+}
+
+/// Walks a GGEP block from the front of `data` without allocating, calling
+/// `each(id, data)` per extension; the one grammar behind [`parse`]. Returns
+/// the number of bytes consumed.
+pub fn walk<'a>(
+    data: &'a [u8],
+    mut each: impl FnMut(&'a str, &'a [u8]),
+) -> Result<usize, GgepError> {
     if data.first() != Some(&GGEP_MAGIC) {
         return Err(GgepError::NoMagic);
     }
     let mut pos = 1;
-    let mut exts = Vec::new();
     loop {
         let flags = *data.get(pos).ok_or(GgepError::Truncated)?;
         pos += 1;
@@ -130,7 +146,7 @@ pub fn parse(data: &[u8]) -> Result<(Vec<Extension>, usize), GgepError> {
         if !id_bytes.iter().all(|b| b.is_ascii() && *b != 0) {
             return Err(GgepError::NonAsciiId);
         }
-        let id = String::from_utf8(id_bytes.to_vec()).expect("checked ASCII");
+        let id = std::str::from_utf8(id_bytes).expect("checked ASCII");
         pos += id_len;
 
         let mut len = 0usize;
@@ -156,12 +172,9 @@ pub fn parse(data: &[u8]) -> Result<(Vec<Extension>, usize), GgepError> {
         }
         let body = data.get(pos..pos + len).ok_or(GgepError::Truncated)?;
         pos += len;
-        exts.push(Extension {
-            id,
-            data: body.to_vec(),
-        });
+        each(id, body);
         if flags & 0x80 != 0 {
-            return Ok((exts, pos));
+            return Ok(pos);
         }
     }
 }

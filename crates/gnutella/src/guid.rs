@@ -56,7 +56,7 @@ impl Guid {
     }
 }
 
-/// GUIDs key the servent's open-addressed route tables
+/// GUIDs key the servent's hashed route tables
 /// ([`p2pmal_netsim::FifoMap`]). The bytes are already uniformly random, so
 /// folding the halves (with a rotate so byte-8/15 markers land on distinct
 /// lanes) feeds the table's own finalizer plenty of entropy.

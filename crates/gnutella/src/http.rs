@@ -14,7 +14,7 @@
 //! line, after which the downloader sends its GET over that connection.
 
 use crate::guid::Guid;
-use p2pmal_hashes::{base32_decode, Sha1Digest};
+use p2pmal_hashes::{base32_decode_array, Sha1Digest};
 use std::fmt;
 
 /// Size cap for request heads, mirroring servent hardening.
@@ -205,12 +205,7 @@ fn parse_target(path: &str) -> Result<RequestTarget, HttpError> {
     }
     if let Some(urn) = path.strip_prefix("/uri-res/N2R?") {
         let b32 = urn.strip_prefix("urn:sha1:").ok_or(HttpError::BadTarget)?;
-        let raw = base32_decode(b32).map_err(|_| HttpError::BadTarget)?;
-        if raw.len() != 20 {
-            return Err(HttpError::BadTarget);
-        }
-        let mut d = [0u8; 20];
-        d.copy_from_slice(&raw);
+        let d = base32_decode_array(b32).map_err(|_| HttpError::BadTarget)?;
         return Ok(RequestTarget::ByUrn(Sha1Digest(d)));
     }
     Err(HttpError::BadTarget)

@@ -6,8 +6,9 @@
 //! struct with `encode()` into bytes and a strict `parse()` that never
 //! panics on malformed input.
 
-use crate::ggep::{self, Extension};
-use p2pmal_hashes::{base32_decode, base32_encode, Sha1Digest};
+use crate::ggep::{self, Extension, GgepError};
+use crate::guid::Guid;
+use p2pmal_hashes::{base32_decode_array, base32_encode, Sha1Digest};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -22,7 +23,7 @@ pub enum PayloadError {
     MissingNul,
     BadUtf8,
     BadUrn,
-    BadGgep(String),
+    BadGgep(GgepError),
     /// Structured trailing garbage, impossible result counts, etc.
     Malformed(&'static str),
 }
@@ -104,8 +105,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn utf8(b: &[u8]) -> Result<String, PayloadError> {
-    String::from_utf8(b.to_vec()).map_err(|_| PayloadError::BadUtf8)
+fn utf8(b: &[u8]) -> Result<&str, PayloadError> {
+    std::str::from_utf8(b).map_err(|_| PayloadError::BadUtf8)
 }
 
 // ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ impl Ping {
         if data.is_empty() {
             return Ok(Ping::default());
         }
-        let (exts, used) = ggep::parse(data).map_err(|e| PayloadError::BadGgep(e.to_string()))?;
+        let (exts, used) = ggep::parse(data).map_err(PayloadError::BadGgep)?;
         if used != data.len() {
             return Err(PayloadError::Malformed("trailing bytes after PING GGEP"));
         }
@@ -179,8 +180,7 @@ impl Pong {
         let ggep = if rest.is_empty() {
             Vec::new()
         } else {
-            let (exts, used) =
-                ggep::parse(rest).map_err(|e| PayloadError::BadGgep(e.to_string()))?;
+            let (exts, used) = ggep::parse(rest).map_err(PayloadError::BadGgep)?;
             if used != rest.len() {
                 return Err(PayloadError::Malformed("trailing bytes after PONG GGEP"));
             }
@@ -255,7 +255,7 @@ impl Query {
     pub fn parse(data: &[u8]) -> Result<Self, PayloadError> {
         let mut r = Reader::new(data);
         let min_speed = r.u16_le()?;
-        let text = utf8(r.cstr()?)?;
+        let text = utf8(r.cstr()?)?.to_string();
         let ext_area = r.rest();
         let (urns, ggep) = parse_gem_extensions(ext_area)?;
         Ok(Query {
@@ -279,8 +279,7 @@ fn parse_gem_extensions(area: &[u8]) -> Result<(Vec<String>, Vec<Extension>), Pa
             continue;
         }
         if area[pos] == ggep::GGEP_MAGIC {
-            let (mut e, used) =
-                ggep::parse(&area[pos..]).map_err(|err| PayloadError::BadGgep(err.to_string()))?;
+            let (mut e, used) = ggep::parse(&area[pos..]).map_err(PayloadError::BadGgep)?;
             exts.append(&mut e);
             pos += used;
             continue;
@@ -293,7 +292,7 @@ fn parse_gem_extensions(area: &[u8]) -> Result<(Vec<String>, Vec<Extension>), Pa
             .unwrap_or(area.len());
         let s = utf8(&area[pos..end])?;
         if !s.is_empty() {
-            urns.push(s);
+            urns.push(s.to_string());
         }
         pos = end;
     }
@@ -327,8 +326,18 @@ impl HitResult {
         }
         out.push(0);
     }
+}
 
-    fn parse(r: &mut Reader<'_>) -> Result<Self, PayloadError> {
+/// One result record read in place: [`HitResult`] with a borrowed name.
+struct HitRecord<'a> {
+    index: u32,
+    size: u32,
+    name: &'a str,
+    sha1: Option<Sha1Digest>,
+}
+
+impl<'a> HitRecord<'a> {
+    fn walk(r: &mut Reader<'a>) -> Result<Self, PayloadError> {
         let index = r.u32_le()?;
         let size = r.u32_le()?;
         let name = utf8(r.cstr()?)?;
@@ -338,18 +347,12 @@ impl HitResult {
             if part.is_empty() || part[0] == ggep::GGEP_MAGIC {
                 continue; // per-result GGEP ignored
             }
-            let s = utf8(part)?;
-            if let Some(b32) = s.strip_prefix("urn:sha1:") {
-                let raw = base32_decode(b32).map_err(|_| PayloadError::BadUrn)?;
-                if raw.len() != 20 {
-                    return Err(PayloadError::BadUrn);
-                }
-                let mut d = [0u8; 20];
-                d.copy_from_slice(&raw);
+            if let Some(b32) = utf8(part)?.strip_prefix("urn:sha1:") {
+                let d = base32_decode_array(b32).map_err(|_| PayloadError::BadUrn)?;
                 sha1 = Some(Sha1Digest(d));
             }
         }
-        Ok(HitResult {
+        Ok(HitRecord {
             index,
             size,
             name,
@@ -419,7 +422,7 @@ pub struct QueryHit {
     /// Private-area GGEP (between QHD and the trailing GUID).
     pub ggep: Vec<Extension>,
     /// The responding servent's GUID — the routing target for PUSH.
-    pub servent_guid: crate::guid::Guid,
+    pub servent_guid: Guid,
 }
 
 impl QueryHit {
@@ -448,25 +451,62 @@ impl QueryHit {
     }
 
     pub fn parse(data: &[u8]) -> Result<Self, PayloadError> {
+        let mut results = Vec::with_capacity(data.first().map_or(0, |&n| n as usize));
+        let mut ggep = Vec::new();
+        let hit = Self::walk(
+            data,
+            |r| {
+                results.push(HitResult {
+                    index: r.index,
+                    size: r.size,
+                    name: r.name.to_string(),
+                    sha1: r.sha1,
+                })
+            },
+            |id, data| {
+                ggep.push(Extension {
+                    id: id.to_string(),
+                    data: data.to_vec(),
+                })
+            },
+        )?;
+        Ok(QueryHit {
+            results,
+            ggep,
+            ..hit
+        })
+    }
+
+    /// Checks `data` exactly as [`QueryHit::parse`] would, without
+    /// allocating, and returns the responder's servent GUID: what a servent
+    /// needs to route a hit that does not answer its own query.
+    pub fn validate(data: &[u8]) -> Result<Guid, PayloadError> {
+        Self::walk(data, |_| {}, |_, _| {}).map(|hit| hit.servent_guid)
+    }
+
+    /// The QUERYHIT grammar, read in place: calls `each` per result record
+    /// and `ext` per private-area GGEP extension, and returns the fixed
+    /// fields with `results` and `ggep` left empty.
+    fn walk<'a>(
+        data: &'a [u8],
+        mut each: impl FnMut(HitRecord<'a>),
+        ext: impl FnMut(&'a str, &'a [u8]),
+    ) -> Result<Self, PayloadError> {
         if data.len() < 16 {
             return Err(PayloadError::Truncated);
         }
         let (body, guid_bytes) = data.split_at(data.len() - 16);
-        let servent_guid =
-            crate::guid::Guid::from_slice(guid_bytes).expect("split guarantees 16 bytes");
+        let servent_guid = Guid::from_slice(guid_bytes).expect("split guarantees 16 bytes");
         let mut r = Reader::new(body);
         let count = r.u8()?;
         let port = r.u16_le()?;
         let ip = r.ipv4()?;
         let speed = r.u32_le()?;
-        let mut results = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            results.push(HitResult::parse(&mut r)?);
+            each(HitRecord::walk(&mut r)?);
         }
         // QHD (required by 2006 servents).
-        let vendor_slice = r.take(4)?;
-        let mut vendor = [0u8; 4];
-        vendor.copy_from_slice(vendor_slice);
+        let vendor: [u8; 4] = r.take(4)?.try_into().expect("took 4 bytes");
         let open_size = r.u8()? as usize;
         if open_size < 2 {
             return Err(PayloadError::Malformed("QHD open data too short"));
@@ -476,24 +516,20 @@ impl QueryHit {
             flags: open[0],
             mask: open[1],
         };
+        // Private area: a leading GGEP block must parse (bytes after it are
+        // ignored); unknown vendor private data is tolerated and skipped.
         let private = r.rest();
-        let ggep = if private.is_empty() {
-            Vec::new()
-        } else if private[0] == ggep::GGEP_MAGIC {
-            let (exts, _) =
-                ggep::parse(private).map_err(|e| PayloadError::BadGgep(e.to_string()))?;
-            exts
-        } else {
-            Vec::new() // unknown vendor private data: tolerated, skipped
-        };
+        if private.first() == Some(&ggep::GGEP_MAGIC) {
+            ggep::walk(private, ext).map_err(PayloadError::BadGgep)?;
+        }
         Ok(QueryHit {
             port,
             ip,
             speed,
-            results,
+            results: Vec::new(),
             vendor,
             flags,
-            ggep,
+            ggep: Vec::new(),
             servent_guid,
         })
     }
@@ -507,7 +543,7 @@ impl QueryHit {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Push {
     /// GUID of the servent that must perform the push (from the QUERYHIT).
-    pub servent_guid: crate::guid::Guid,
+    pub servent_guid: Guid,
     pub index: u32,
     /// Requester's address the pushed connection should dial.
     pub ip: Ipv4Addr,
@@ -527,7 +563,7 @@ impl Push {
     pub fn parse(data: &[u8]) -> Result<Self, PayloadError> {
         let mut r = Reader::new(data);
         let guid_bytes = r.take(16)?;
-        let servent_guid = crate::guid::Guid::from_slice(guid_bytes).expect("16 bytes");
+        let servent_guid = Guid::from_slice(guid_bytes).expect("16 bytes");
         let index = r.u32_le()?;
         let ip = r.ipv4()?;
         let port = r.u16_le()?;
@@ -564,7 +600,7 @@ impl Bye {
     pub fn parse(data: &[u8]) -> Result<Self, PayloadError> {
         let mut r = Reader::new(data);
         let code = r.u16_le()?;
-        let reason = utf8(r.cstr()?)?;
+        let reason = utf8(r.cstr()?)?.to_string();
         Ok(Bye { code, reason })
     }
 }

@@ -748,13 +748,16 @@ impl Servent {
     }
 
     fn handle_query(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, header: Header, payload: &[u8]) {
+        if self.seen.contains(&header.guid) {
+            return; // duplicate via another path: dropped before decoding
+        }
         let Ok(query) = Query::parse(payload) else {
             self.stats.bad_messages += 1;
             return;
         };
-        if !self.remember_seen(header.guid) {
-            return; // duplicate via another path
-        }
+        // Only a well-formed QUERY marks its GUID seen, so a later good
+        // copy of a malformed one is still answered and routed.
+        self.remember_seen(header.guid);
         self.stats.queries_routed += 1;
         let at = ctx.now();
         let text = query.text.clone();
@@ -960,14 +963,17 @@ impl Servent {
         header: Header,
         payload: &[u8],
     ) {
-        let Ok(hit) = QueryHit::parse(payload) else {
-            self.stats.bad_messages += 1;
-            return;
-        };
-        self.remember_push_route(hit.servent_guid, conn);
-        match self.query_routes.get(&header.guid) {
+        // Only hits answering our own query are decoded into owned form;
+        // routed ones are checked in place by the same grammar. Either way
+        // a valid hit teaches a push route, even when its query route has
+        // expired.
+        match self.query_routes.get(&header.guid).copied() {
             Some(None) => {
-                // Answers our own query.
+                let Ok(hit) = QueryHit::parse(payload) else {
+                    self.stats.bad_messages += 1;
+                    return;
+                };
+                self.remember_push_route(hit.servent_guid, conn);
                 self.stats.hits_received += 1;
                 let at = ctx.now();
                 self.emit(ServentEvent::QueryHit {
@@ -976,9 +982,16 @@ impl Servent {
                     hit,
                 });
             }
-            Some(Some(back)) => {
+            route => {
+                let Ok(servent_guid) = QueryHit::validate(payload) else {
+                    self.stats.bad_messages += 1;
+                    return;
+                };
+                self.remember_push_route(servent_guid, conn);
+                // An expired route (None) drops the hit silently, like
+                // real servents.
+                let Some(Some(back)) = route else { return };
                 self.stats.hits_routed += 1;
-                let back = *back;
                 if let Some(fwd) = header.hop() {
                     let mut wire = Vec::new();
                     encode_message(
@@ -992,7 +1005,6 @@ impl Servent {
                     ctx.send(back, &wire);
                 }
             }
-            None => { /* route expired: drop silently, like real servents */ }
         }
     }
 

@@ -460,3 +460,129 @@ fn qrp_table_is_resent_exactly_on_reconnect() {
         assert_ne!(up_conns[0], up_conns[1], "second round is a new connection");
     }
 }
+
+/// The ultrapeer's live leaf connections, in id order.
+fn leaf_conns(up: &Servent) -> Vec<ConnId> {
+    up.conns
+        .iter()
+        .filter(|(_, k)| matches!(k, ConnKind::Peer(p) if !p.ultrapeer))
+        .map(|(&c, _)| c)
+        .collect()
+}
+
+fn header(guid: Guid, msg_type: MsgType, payload: &[u8]) -> Header {
+    Header {
+        guid,
+        msg_type,
+        ttl: 3,
+        hops: 1,
+        payload_len: payload.len() as u32,
+    }
+}
+
+/// A QUERYHIT on a routed path is checked before it is forwarded or
+/// teaches a push route: a malformed copy does neither, while the
+/// well-formed copy of the same hit does both.
+#[test]
+fn malformed_queryhit_is_neither_forwarded_nor_learned() {
+    let mut net = build_net(7, 1, vec![(HostLibrary::new(), false)]);
+    let (up, leaf) = (net.ups[0], net.leaves[0]);
+    let mut rng = StdRng::seed_from_u64(11);
+    let (query_guid, responder) = (Guid::random(&mut rng), Guid::random(&mut rng));
+    let good = QueryHit {
+        port: 6346,
+        ip: std::net::Ipv4Addr::new(10, 0, 0, 9),
+        speed: 350,
+        results: vec![HitResult {
+            index: 1,
+            size: 58_368,
+            name: "free_music.exe".into(),
+            sha1: None,
+        }],
+        vendor: *b"LIME",
+        flags: QhdFlags::new(),
+        ggep: Vec::new(),
+        servent_guid: responder,
+    }
+    .encode();
+    // QHD open-data size 1 is below the minimum of 2; the trailing
+    // servent GUID is untouched.
+    let mut bad = good.clone();
+    let open_size_at = good.len() - 16 - 3;
+    assert_eq!(bad[open_size_at], 2);
+    bad[open_size_at] = 1;
+    assert!(QueryHit::parse(&bad).is_err());
+
+    for (payload, valid) in [(&bad, false), (&good, true)] {
+        let before = with_servent(&mut net.sim, up, |s, ctx| {
+            let conn = leaf_conns(s)[0];
+            s.route_query_back(query_guid, Some(conn));
+            let before = s.stats();
+            s.handle_query_hit(
+                ctx,
+                conn,
+                header(query_guid, MsgType::QueryHit, payload),
+                payload,
+            );
+            before
+        });
+        let until = net.sim.now() + SimDuration::from_secs(10);
+        net.sim.run_until(until);
+        let (after, up_learned) = with_servent(&mut net.sim, up, |s, _| {
+            (s.stats(), s.push_routes.get(&responder).is_some())
+        });
+        let leaf_learned = with_servent(&mut net.sim, leaf, |s, _| {
+            s.push_routes.get(&responder).is_some()
+        });
+        assert_eq!(after.hits_routed - before.hits_routed, valid as u64);
+        assert_eq!(after.bad_messages - before.bad_messages, !valid as u64);
+        assert_eq!(up_learned, valid, "ultrapeer push route (valid={valid})");
+        assert_eq!(leaf_learned, valid, "forwarded to the leaf (valid={valid})");
+    }
+}
+
+/// A malformed QUERY does not mark its GUID seen: a later well-formed copy
+/// with the same GUID is still routed, answered by an echo worm, and its
+/// hit routed back.
+#[test]
+fn malformed_query_does_not_mark_its_guid_seen() {
+    let w = world(8);
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut echo = HostLibrary::new();
+    echo.infect(w.roster.get(FamilyId(0)), &w.catalog, &mut rng);
+    let mut net = build_net(8, 1, vec![(echo.clone(), false), (echo, false)]);
+    let up = net.ups[0];
+    let guid = Guid::random(&mut rng);
+    let text = "any random thing";
+    let good = Query::keyword(text).encode();
+    // Min-speed plus the search text without its NUL terminator.
+    let bad = &good[..2 + text.len()];
+    assert_eq!(
+        Query::parse(bad),
+        Err(crate::payload::PayloadError::MissingNul)
+    );
+
+    let before = with_servent(&mut net.sim, up, |s, ctx| {
+        let origin = leaf_conns(s)[0];
+        let before = s.stats();
+        s.handle_query(ctx, origin, header(guid, MsgType::Query, bad), bad);
+        assert_eq!(s.stats().bad_messages, before.bad_messages + 1);
+        assert!(
+            !s.seen.contains(&guid),
+            "a malformed QUERY marked its GUID seen"
+        );
+        assert!(s.query_routes.get(&guid).is_none());
+        s.handle_query(ctx, origin, header(guid, MsgType::Query, &good), &good);
+        assert!(s.seen.contains(&guid));
+        assert_eq!(s.query_routes.get(&guid), Some(&Some(origin)));
+        before
+    });
+    let until = net.sim.now() + SimDuration::from_secs(10);
+    net.sim.run_until(until);
+    let after = with_servent(&mut net.sim, up, |s, _| s.stats());
+    assert_eq!(after.queries_routed, before.queries_routed + 1);
+    assert!(
+        after.hits_routed > before.hits_routed,
+        "the echo worm's hit was routed back"
+    );
+}

@@ -24,6 +24,69 @@ fn arb_name() -> impl Strategy<Value = String> {
     "[ -~&&[^\\x00]]{0,60}"
 }
 
+/// An encoded real-world-shaped QUERYHIT: up to 40 results, some carrying a
+/// `urn:sha1`, and optionally GGEP in the QHD private area.
+fn arb_hit_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        arb_guid(),
+        proptest::collection::vec(
+            (
+                any::<u32>(),
+                any::<u32>(),
+                arb_name(),
+                any::<bool>(),
+                any::<[u8; 20]>(),
+            ),
+            0..40,
+        ),
+        proptest::collection::vec(
+            (
+                "[A-Za-z]{1,15}",
+                proptest::collection::vec(any::<u8>(), 0..24),
+            ),
+            0..3,
+        ),
+    )
+        .prop_map(|(guid, results, ggep)| {
+            QueryHit {
+                port: 6346,
+                ip: Ipv4Addr::new(192, 168, 0, 7),
+                speed: 350,
+                results: results
+                    .into_iter()
+                    .map(|(index, size, name, urn, digest)| HitResult {
+                        index,
+                        size,
+                        name,
+                        sha1: urn.then_some(p2pmal_hashes::Sha1Digest(digest)),
+                    })
+                    .collect(),
+                vendor: *b"LIME",
+                flags: QhdFlags::new().with(p2pmal_gnutella::payload::QHD_PUSH, true),
+                ggep: ggep
+                    .into_iter()
+                    .map(|(id, data)| Extension { id, data })
+                    .collect(),
+                servent_guid: guid,
+            }
+            .encode()
+        })
+}
+
+/// Bytes the QUERYHIT grammar branches on, for structure-aware mutation.
+const HIT_PIVOTS: [u8; 8] = [0x00, 0x1C, 0xC3, 0x40, 0x80, 0x01, b'u', 0xFF];
+
+/// The in-place QUERYHIT check and the owned parse share one grammar:
+/// same verdict, same error, same servent GUID.
+fn assert_walk_matches_parse(data: &[u8]) {
+    prop_assert_eq!(
+        QueryHit::validate(data),
+        QueryHit::parse(data).map(|hit| hit.servent_guid),
+        "payload {:02x?}",
+        data
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -52,6 +115,30 @@ proptest! {
         let _ = RouteMsg::parse(&data);
         let _ = ggep::parse(&data);
         let _ = parse_giv(&data);
+    }
+
+    #[test]
+    fn queryhit_walk_matches_parse_on_arbitrary_bytes(
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        assert_walk_matches_parse(&data);
+    }
+
+    #[test]
+    fn queryhit_walk_matches_parse_on_mutated_hits(
+        raw in arb_hit_bytes(),
+        cut in any::<u32>(),
+        pos in any::<u32>(),
+        byte in any::<u8>(),
+        pivot in 0usize..HIT_PIVOTS.len() * 2,
+    ) {
+        assert_walk_matches_parse(&raw);
+        prop_assert!(QueryHit::validate(&raw).is_ok(), "an encoded hit is valid");
+        assert_walk_matches_parse(&raw[..cut as usize % (raw.len() + 1)]);
+        let mut mutated = raw.clone();
+        let at = pos as usize % raw.len();
+        mutated[at] = HIT_PIVOTS.get(pivot).copied().unwrap_or(byte);
+        assert_walk_matches_parse(&mutated);
     }
 
     #[test]

@@ -51,11 +51,34 @@ pub fn base32_encode(data: &[u8]) -> String {
 
 /// Decodes unpadded Base32 (case-insensitive).
 pub fn base32_decode(s: &str) -> Result<Vec<u8>, Base32Error> {
+    let mut out = Vec::with_capacity(s.len() * 5 / 8);
+    decode_each(s, |b| out.push(b))?;
+    Ok(out)
+}
+
+/// Decodes unpadded Base32 into exactly `N` bytes without allocating. The
+/// input is accepted iff [`base32_decode`] accepts it and yields `N` bytes.
+pub fn base32_decode_array<const N: usize>(s: &str) -> Result<[u8; N], Base32Error> {
+    let mut out = [0u8; N];
+    let mut n = 0;
+    decode_each(s, |b| {
+        if let Some(slot) = out.get_mut(n) {
+            *slot = b;
+        }
+        n += 1;
+    })?;
+    if n != N {
+        return Err(Base32Error::InvalidLength(s.len()));
+    }
+    Ok(out)
+}
+
+/// The decoder behind both entry points: calls `push` per output byte.
+fn decode_each(s: &str, mut push: impl FnMut(u8)) -> Result<(), Base32Error> {
     match s.len() % 8 {
         1 | 3 | 6 => return Err(Base32Error::InvalidLength(s.len())),
         _ => {}
     }
-    let mut out = Vec::with_capacity(s.len() * 5 / 8);
     let mut acc: u64 = 0;
     let mut bits = 0u32;
     for c in s.chars() {
@@ -68,13 +91,13 @@ pub fn base32_decode(s: &str) -> Result<Vec<u8>, Base32Error> {
         bits += 5;
         if bits >= 8 {
             bits -= 8;
-            out.push(((acc >> bits) & 0xff) as u8);
+            push(((acc >> bits) & 0xff) as u8);
         }
     }
     if bits > 0 && (acc & ((1 << bits) - 1)) != 0 {
         return Err(Base32Error::NonZeroPadding);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -145,6 +168,14 @@ mod tests {
         #[test]
         fn decode_never_panics(s in "[ -~]{0,64}") {
             let _ = base32_decode(&s);
+        }
+
+        /// The fixed-size decoder accepts exactly the 20-byte decodings.
+        #[test]
+        fn decode_array_agrees_with_decode(s in "[A-Za-z2-9]{28,36}") {
+            let vec = base32_decode(&s).ok().filter(|v| v.len() == 20);
+            let arr = base32_decode_array::<20>(&s).ok().map(|a| a.to_vec());
+            prop_assert_eq!(arr, vec);
         }
     }
 }

@@ -20,7 +20,7 @@ mod base32;
 mod md5;
 mod sha1;
 
-pub use base32::{base32_decode, base32_encode, Base32Error};
+pub use base32::{base32_decode, base32_decode_array, base32_encode, Base32Error};
 pub use md5::{md5, Md5, Md5Digest};
 pub use sha1::{sha1, sha1_many, Sha1, Sha1Digest};
 

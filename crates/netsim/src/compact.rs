@@ -12,11 +12,15 @@
 //!   An empty map is one `Vec` (24 bytes, no allocation); a populated map
 //!   stores exactly its entries plus growth slack, with no hash state and
 //!   no per-slot control bytes.
-//! * [`FifoMap`] / [`FifoSet`] — an open-addressed, power-of-two table
-//!   keyed through the [`KeyHash`] trait, paired with a FIFO eviction
-//!   queue, for the bounded route/duplicate tables (seen-GUIDs, query
-//!   routes, push routes). Replaces the `HashMap` + `VecDeque` pairs with
-//!   one allocation-free-when-empty structure and a multiply-shift hash
+//! * [`FifoMap`] / [`FifoSet`] — the bounded route/duplicate tables
+//!   (seen-GUIDs, query routes, push routes). Each entry is stored once,
+//!   in an insertion-order ring that stops growing at the bound, and found
+//!   through a half-full linear-probing index of `u32` ring positions
+//!   hashed via the [`KeyHash`] trait. Eviction overwrites the oldest ring
+//!   entry in place and closes its index slot by backward shift, so there
+//!   is no separate FIFO queue, no tombstone, and a table at its bound
+//!   never grows again. Replaces the `HashMap` + `VecDeque` pairs with one
+//!   allocation-free-when-empty structure and a multiply-shift hash
 //!   instead of SipHash.
 //!
 //! Both preserve the *exact* observable semantics of the `HashMap`-based
@@ -26,8 +30,6 @@
 //! Iteration order of [`VecMap`] is sorted by key — already deterministic,
 //! unlike `HashMap`, so the fan-out sites that used to collect-and-sort
 //! can keep their sort as a no-op safety net.
-
-use std::collections::VecDeque;
 
 /// A 64-bit hash for open-addressed table keys. Implementors must provide
 /// a well-mixed value (the table uses the high bits via multiply-shift);
@@ -176,179 +178,156 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
 // FifoMap / FifoSet
 // ---------------------------------------------------------------------------
 
-/// One open-addressing slot. `Tombstone` keeps probe chains intact after
-/// removals; tombstones are reclaimed wholesale on rehash.
-#[derive(Debug, Clone)]
-enum Slot<K, V> {
-    Empty,
-    Tombstone,
-    Full(K, V),
+/// An index slot that points at no ring entry.
+const EMPTY: u32 = u32::MAX;
+
+/// The home index slot of `key` in an index of `mask + 1` slots.
+#[inline]
+fn home<K: KeyHash>(key: &K, mask: usize) -> usize {
+    (key.key_hash() >> 32) as usize & mask
 }
 
-/// An open-addressed hash map with FIFO capacity eviction: the
-/// `HashMap + VecDeque` route-table idiom as one structure. `insert` on a
-/// *fresh* key records it in the eviction queue and, past `bound` live
-/// keys, removes the oldest; `insert` on an *existing* key overwrites the
-/// value without touching the queue — exactly the semantics of the code
-/// it replaces (`remember_seen` / `route_query_back`).
+/// A hash map with FIFO capacity eviction: the `HashMap + VecDeque`
+/// route-table idiom as one structure. `insert` on a *fresh* key appends it
+/// and, once `bound` keys are held, overwrites the oldest in place;
+/// `insert` on an *existing* key overwrites the value without moving it —
+/// exactly the semantics of the code it replaces (`remember_seen` /
+/// `route_query_back`).
 ///
-/// Unbounded use is supported with `bound = usize::MAX`. An empty map
-/// holds no heap allocation.
+/// Each entry is stored once, in a ring in insertion order that stops
+/// growing at `bound`. A linear-probing index of `u32` ring positions,
+/// kept at most half full, finds keys; a deleted index slot is closed by
+/// backward shift, so there are no tombstones and the footprint at the
+/// bound is fixed. An empty map holds no heap allocation.
 #[derive(Debug, Clone)]
 pub struct FifoMap<K, V> {
-    slots: Vec<Slot<K, V>>,
-    order: VecDeque<K>,
+    /// Entries in insertion order; once full, the oldest sits at `head`.
+    ring: Vec<(K, V)>,
+    head: usize,
+    /// Ring positions, power-of-two sized; `EMPTY` marks a free slot.
+    index: Vec<u32>,
     bound: usize,
-    len: usize,
-    /// Full (non-tombstone) plus tombstone slots — the rehash trigger.
-    used: usize,
 }
 
 impl<K: KeyHash + Eq + Copy, V> FifoMap<K, V> {
     pub fn bounded(bound: usize) -> Self {
+        assert!(
+            bound > 0 && bound < EMPTY as usize,
+            "FifoMap bound {bound} out of range"
+        );
         FifoMap {
-            slots: Vec::new(),
-            order: VecDeque::new(),
+            ring: Vec::new(),
+            head: 0,
+            index: Vec::new(),
             bound,
-            len: 0,
-            used: 0,
         }
     }
 
     pub fn len(&self) -> usize {
-        self.len
+        self.ring.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ring.is_empty()
     }
 
-    #[inline]
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
-    }
-
-    /// Finds `key`'s slot (Ok) or the first insertable slot on its probe
-    /// chain (Err). Caller guarantees the table is allocated and not full.
-    fn probe(&self, key: &K) -> Result<usize, usize> {
-        let mask = self.mask();
-        let mut i = (key.key_hash() >> 32) as usize & mask;
-        let mut insert_at = None;
+    /// The ring position holding `key`, if present.
+    fn find(&self, key: &K) -> Option<usize> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut i = home(key, mask);
         loop {
-            match &self.slots[i] {
-                Slot::Empty => return Err(insert_at.unwrap_or(i)),
-                Slot::Tombstone => {
-                    if insert_at.is_none() {
-                        insert_at = Some(i);
-                    }
-                }
-                Slot::Full(k, _) => {
-                    if k == key {
-                        return Ok(i);
-                    }
-                }
+            match self.index[i] {
+                EMPTY => return None,
+                p if self.ring[p as usize].0 == *key => return Some(p as usize),
+                _ => i = (i + 1) & mask,
             }
+        }
+    }
+
+    /// Points a free index slot on `key`'s probe chain at ring `pos`.
+    fn place(index: &mut [u32], key: &K, pos: usize) {
+        let mask = index.len() - 1;
+        let mut i = home(key, mask);
+        while index[i] != EMPTY {
             i = (i + 1) & mask;
         }
+        index[i] = pos as u32;
     }
 
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(16);
-        let old = std::mem::take(&mut self.slots);
-        self.slots.resize_with(new_cap, || Slot::Empty);
-        self.used = self.len;
-        for slot in old {
-            if let Slot::Full(k, v) = slot {
-                let i = match self.probe(&k) {
-                    Ok(i) | Err(i) => i,
-                };
-                self.slots[i] = Slot::Full(k, v);
+    /// Doubles the index and re-places every ring entry.
+    fn grow_index(&mut self) {
+        self.index = vec![EMPTY; (self.index.len() * 2).max(16)];
+        for (pos, (k, _)) in self.ring.iter().enumerate() {
+            Self::place(&mut self.index, k, pos);
+        }
+    }
+
+    /// Removes ring `pos` from the index, shifting later members of its
+    /// probe run back so every lookup still reaches its key.
+    fn unindex(&mut self, pos: usize) {
+        let mask = self.index.len() - 1;
+        let mut hole = home(&self.ring[pos].0, mask);
+        while self.index[hole] as usize != pos {
+            hole = (hole + 1) & mask;
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let p = self.index[j];
+            if p == EMPTY {
+                break;
+            }
+            // Move the entry at `j` into the hole unless its home lies
+            // cyclically in (hole, j].
+            let h = home(&self.ring[p as usize].0, mask);
+            if j.wrapping_sub(h) & mask >= j.wrapping_sub(hole) & mask {
+                self.index[hole] = p;
+                hole = j;
             }
         }
-    }
-
-    /// Grows/rehashes so at least one more entry fits below 7/8 load.
-    fn reserve_one(&mut self) {
-        if self.slots.is_empty() || (self.used + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
+        self.index[hole] = EMPTY;
     }
 
     pub fn contains_key(&self, key: &K) -> bool {
-        !self.slots.is_empty() && self.probe(key).is_ok()
+        self.find(key).is_some()
     }
 
     pub fn get(&self, key: &K) -> Option<&V> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        match self.probe(key) {
-            Ok(i) => match &self.slots[i] {
-                Slot::Full(_, v) => Some(v),
-                _ => unreachable!(),
-            },
-            Err(_) => None,
-        }
+        self.find(key).map(|p| &self.ring[p].1)
     }
 
-    /// Removes `key` without touching the eviction queue (the stale queue
-    /// entry is skipped at eviction time — same net behavior as the
-    /// original idiom, which never removed mid-queue either).
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        match self.probe(key) {
-            Ok(i) => {
-                let slot = std::mem::replace(&mut self.slots[i], Slot::Tombstone);
-                self.len -= 1;
-                match slot {
-                    Slot::Full(_, v) => Some(v),
-                    _ => unreachable!(),
-                }
-            }
-            Err(_) => None,
-        }
-    }
-
-    fn raw_insert(&mut self, key: K, value: V) -> Option<V> {
-        self.reserve_one();
-        match self.probe(&key) {
-            Ok(i) => match &mut self.slots[i] {
-                Slot::Full(_, v) => Some(std::mem::replace(v, value)),
-                _ => unreachable!(),
-            },
-            Err(i) => {
-                if matches!(self.slots[i], Slot::Empty) {
-                    self.used += 1;
-                }
-                self.slots[i] = Slot::Full(key, value);
-                self.len += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts with FIFO bounding. A fresh key joins the eviction queue
-    /// (evicting the oldest live key once over `bound`); overwriting an
-    /// existing key's value leaves the queue untouched.
+    /// Inserts with FIFO bounding. A fresh key is appended (overwriting the
+    /// oldest entry once `bound` are held); overwriting an existing key's
+    /// value leaves its position untouched.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let prev = self.raw_insert(key, value);
-        if prev.is_none() {
-            self.order.push_back(key);
-            if self.order.len() > self.bound {
-                if let Some(old) = self.order.pop_front() {
-                    self.remove(&old);
-                }
-            }
+        if let Some(p) = self.find(&key) {
+            return Some(std::mem::replace(&mut self.ring[p].1, value));
         }
-        prev
+        let pos = if self.ring.len() < self.bound {
+            if (self.ring.len() + 1) * 2 > self.index.len() {
+                self.grow_index();
+            }
+            if self.ring.len() == self.ring.capacity() {
+                let want = (self.ring.len() * 2).max(8).min(self.bound);
+                self.ring.reserve_exact(want - self.ring.len());
+            }
+            self.ring.push((key, value));
+            self.ring.len() - 1
+        } else {
+            let pos = self.head;
+            self.unindex(pos);
+            self.ring[pos] = (key, value);
+            self.head = (pos + 1) % self.bound;
+            pos
+        };
+        Self::place(&mut self.index, &key, pos);
+        None
     }
 
-    /// Heap bytes held by the table and eviction queue.
+    /// Heap bytes held by the ring and its index.
     pub fn heap_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<Slot<K, V>>()
-            + self.order.capacity() * std::mem::size_of::<K>()) as u64
+        (self.ring.capacity() * std::mem::size_of::<(K, V)>()
+            + self.index.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -460,6 +439,28 @@ mod tests {
         assert_eq!(v.heap_bytes(), 0);
     }
 
+    /// A table at its bound never grows again: eviction reuses the ring
+    /// slot and leaves no tombstone behind in the index.
+    #[test]
+    fn footprint_is_fixed_at_the_bound() {
+        let bound = 1000u64;
+        let mut set: FifoSet<u64> = FifoSet::bounded(bound as usize);
+        let mut map: FifoMap<u64, u64> = FifoMap::bounded(bound as usize);
+        for k in 0..bound {
+            set.insert(k);
+            map.insert(k, k);
+        }
+        let (set_bytes, map_bytes) = (set.heap_bytes(), map.heap_bytes());
+        for k in bound..64 * bound {
+            set.insert(k);
+            map.insert(k, k);
+        }
+        assert_eq!(set.heap_bytes(), set_bytes);
+        assert_eq!(map.heap_bytes(), map_bytes);
+        assert_eq!(set.len(), bound as usize);
+        assert!(set.contains(&(64 * bound - 1)) && !set.contains(&(63 * bound - 1)));
+    }
+
     proptest::proptest! {
         /// VecMap vs HashMap under a random op stream.
         #[test]
@@ -482,35 +483,36 @@ mod tests {
             proptest::prop_assert_eq!(got, reference, "sorted iteration matches");
         }
 
-        /// FifoMap vs the HashMap+VecDeque idiom it replaces, including
-        /// interleaved removes (which leave stale queue entries in both).
+        /// FifoMap vs the HashMap+VecDeque idiom it replaces. Bounds up to
+        /// 63 and a key space four times the bound drive the ring past
+        /// wrap-around and the index through long backward-shift chains.
         #[test]
         fn fifomap_equivalence(
-            bound in 1usize..8,
-            ops in proptest::collection::vec((0u8..3, 0u64..16, 0u32..100), 0..200),
+            bound in 1usize..64,
+            ops in proptest::collection::vec((0u8..3, 0u64..256, 0u32..100), 0..1000),
         ) {
+            let keys = 4 * bound as u64;
             let mut fm: FifoMap<u64, u32> = FifoMap::bounded(bound);
             let mut hm: HashMap<u64, u32> = HashMap::new();
             let mut order: std::collections::VecDeque<u64> = Default::default();
             for (op, k, v) in ops {
-                match op {
-                    0 => {
-                        let prev = hm.insert(k, v);
-                        if prev.is_none() {
-                            order.push_back(k);
-                            if order.len() > bound {
-                                let old = order.pop_front().unwrap();
-                                hm.remove(&old);
-                            }
+                let k = k % keys;
+                if op < 2 {
+                    let prev = hm.insert(k, v);
+                    if prev.is_none() {
+                        order.push_back(k);
+                        if order.len() > bound {
+                            let old = order.pop_front().unwrap();
+                            hm.remove(&old);
                         }
-                        proptest::prop_assert_eq!(fm.insert(k, v), prev);
                     }
-                    1 => proptest::prop_assert_eq!(fm.remove(&k), hm.remove(&k)),
-                    _ => proptest::prop_assert_eq!(fm.get(&k), hm.get(&k)),
+                    proptest::prop_assert_eq!(fm.insert(k, v), prev);
+                } else {
+                    proptest::prop_assert_eq!(fm.get(&k), hm.get(&k));
                 }
                 proptest::prop_assert_eq!(fm.len(), hm.len());
             }
-            for k in 0..16u64 {
+            for k in 0..keys {
                 proptest::prop_assert_eq!(fm.get(&k), hm.get(&k), "final key {}", k);
             }
         }
@@ -518,13 +520,15 @@ mod tests {
         /// FifoSet vs HashSet+VecDeque (the remember_seen idiom).
         #[test]
         fn fifoset_equivalence(
-            bound in 1usize..8,
-            keys in proptest::collection::vec(0u64..16, 0..200),
+            bound in 1usize..64,
+            keys in proptest::collection::vec(0u64..256, 0..1000),
         ) {
+            let space = 4 * bound as u64;
             let mut fs: FifoSet<u64> = FifoSet::bounded(bound);
             let mut hs: HashSet<u64> = HashSet::new();
             let mut order: std::collections::VecDeque<u64> = Default::default();
             for k in keys {
+                let k = k % space;
                 let fresh = hs.insert(k);
                 if fresh {
                     order.push_back(k);
@@ -536,7 +540,7 @@ mod tests {
                 proptest::prop_assert_eq!(fs.insert(k), fresh);
                 proptest::prop_assert_eq!(fs.len(), hs.len());
             }
-            for k in 0..16u64 {
+            for k in 0..space {
                 proptest::prop_assert_eq!(fs.contains(&k), hs.contains(&k));
             }
         }
