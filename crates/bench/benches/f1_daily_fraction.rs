@@ -5,10 +5,10 @@
 //! series shows the prevalence level is persistent, not a burst.
 
 use p2pmal_analysis::{daily_fraction, daily_table, Comparison, Expectation};
-use p2pmal_bench::{banner, limewire_run, openft_run, BenchConfig};
+use p2pmal_bench::{banner, limewire_run, openft_run};
 
 fn main() {
-    let cfg = BenchConfig::from_env();
+    let cfg = p2pmal_bench::config();
     banner("F1", "daily malicious fraction over the collection period");
     let lw = limewire_run(&cfg);
     let ft = openft_run(&cfg);

@@ -6,10 +6,10 @@
 //! premise directly.
 
 use p2pmal_analysis::{size_census, size_table, Comparison, Expectation};
-use p2pmal_bench::{banner, limewire_run, BenchConfig};
+use p2pmal_bench::{banner, limewire_run};
 
 fn main() {
-    let cfg = BenchConfig::from_env();
+    let cfg = p2pmal_bench::config();
     banner("F2", "characteristic-size census (LimeWire)");
     let lw = limewire_run(&cfg);
     let census = size_census(&lw.resolved);

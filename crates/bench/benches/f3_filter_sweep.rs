@@ -4,11 +4,11 @@
 //! the second (deployment-honest).
 
 use p2pmal_analysis::Table;
-use p2pmal_bench::{banner, limewire_run, BenchConfig};
+use p2pmal_bench::{banner, limewire_run};
 use p2pmal_filter::sweep::{size_filter_sweep, split_by_day, tolerance_ablation};
 
 fn main() {
-    let cfg = BenchConfig::from_env();
+    let cfg = p2pmal_bench::config();
     banner("F3", "size-filter parameter sweep (LimeWire)");
     let lw = limewire_run(&cfg);
     let split = lw.days / 2;

@@ -5,10 +5,10 @@
 //! mechanism behind the 68% headline number; this figure measures it.
 
 use p2pmal_analysis::{echo_amplification, Comparison, Expectation, Table};
-use p2pmal_bench::{banner, limewire_run, BenchConfig};
+use p2pmal_bench::{banner, limewire_run};
 
 fn main() {
-    let cfg = BenchConfig::from_env();
+    let cfg = p2pmal_bench::config();
     banner("F4", "query-echo amplification (LimeWire)");
     let lw = limewire_run(&cfg);
     let amp = echo_amplification(&lw.resolved);

@@ -8,6 +8,7 @@
 //! numbers it prints are not publication-grade.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use p2pmal_bench::perf_samples;
 use p2pmal_gnutella::guid::Guid;
 use p2pmal_gnutella::message::{encode_message, MessageReader, MsgType};
 use p2pmal_gnutella::payload::{HitResult, QhdFlags, Query, QueryHit};
@@ -17,15 +18,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::net::Ipv4Addr;
-
-/// Sample count: 10 normally, 2 under `P2PMAL_PERF_SMOKE=1` (CI smoke).
-fn samples() -> usize {
-    if std::env::var("P2PMAL_PERF_SMOKE").is_ok() {
-        2
-    } else {
-        10
-    }
-}
 
 fn sample_query_wire() -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(1);
@@ -82,7 +74,7 @@ fn bench_gnutella(c: &mut Criterion) {
     let hit_wire = sample_hit_wire();
 
     let mut g = c.benchmark_group("gnutella_codec");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.throughput(Throughput::Bytes(query_wire.len() as u64));
     g.bench_function("encode_query", |b| {
         let mut rng = StdRng::seed_from_u64(3);
@@ -134,7 +126,7 @@ fn bench_openft(c: &mut Criterion) {
     encode_packet(Command::Search, &result.encode(), &mut wire);
 
     let mut g = c.benchmark_group("openft_codec");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.throughput(Throughput::Bytes(wire.len() as u64));
     g.bench_function("encode_search_result", |b| {
         b.iter(|| {
@@ -186,7 +178,7 @@ fn bench_route_tables(c: &mut Criterion) {
         })
         .collect();
     let mut g = c.benchmark_group("route_tables");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.throughput(Throughput::Elements(ROUTE_OPS as u64));
     g.bench_function("seen_check_insert_70pct_dup", |b| {
         b.iter(|| {
@@ -206,7 +198,7 @@ fn bench_route_tables(c: &mut Criterion) {
 /// own query are decoded into owned results.
 fn bench_queryhit_validate_vs_parse(c: &mut Criterion) {
     let mut g = c.benchmark_group("queryhit_validate_vs_parse");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     for results in [1, 32] {
         let payload = sample_hit_payload(results);
         g.throughput(Throughput::Bytes(payload.len() as u64));

@@ -14,6 +14,7 @@
 //! the CI smoke lane.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use p2pmal_bench::perf_samples;
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, HostLibrary, Roster};
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
@@ -76,17 +77,8 @@ fn build_population(seed: u64, nodes: usize) -> Simulator {
     sim
 }
 
-/// Sample count: 10 normally, 2 under `P2PMAL_PERF_SMOKE=1` (CI smoke).
-fn samples() -> usize {
-    if std::env::var("P2PMAL_PERF_SMOKE").is_ok() {
-        2
-    } else {
-        10
-    }
-}
-
 fn population_size() -> usize {
-    if std::env::var("P2PMAL_PERF_SMOKE").is_ok() {
+    if p2pmal_bench::config().perf_smoke {
         2_000
     } else {
         20_000
@@ -96,7 +88,7 @@ fn population_size() -> usize {
 fn bench_setup(c: &mut Criterion) {
     let nodes = population_size();
     let mut g = c.benchmark_group("population");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     let name = format!("setup_{nodes}");
     g.bench_function(&name, |b| {
         let mut seed = 0u64;

@@ -9,19 +9,11 @@
 //! numbers it prints are not publication-grade.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use p2pmal_bench::perf_samples;
 use p2pmal_gnutella::qrp::{
     qrp_hash, QrpReceiver, QrpTable, RouteMsg, DEFAULT_INFINITY, DEFAULT_LOG2_SIZE,
 };
 use std::hint::black_box;
-
-/// Sample count: 10 normally, 2 under `P2PMAL_PERF_SMOKE=1` (CI smoke).
-fn samples() -> usize {
-    if std::env::var("P2PMAL_PERF_SMOKE").is_ok() {
-        2
-    } else {
-        10
-    }
-}
 
 fn populated_table() -> QrpTable {
     let mut t = QrpTable::default_table();
@@ -44,7 +36,7 @@ fn encode(table: &QrpTable) -> Vec<Vec<u8>> {
 fn bench_qrp(c: &mut Criterion) {
     let table = populated_table();
     let mut g = c.benchmark_group("qrp");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.bench_function("qrp_hash_word", |b| {
         b.iter(|| black_box(qrp_hash(black_box("horizon"), 16)));
     });

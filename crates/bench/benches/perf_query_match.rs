@@ -17,21 +17,13 @@
 //! numbers it prints are not publication-grade.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use p2pmal_bench::perf_samples;
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::library::{name_matches, query_terms};
 use p2pmal_corpus::{CompiledQuery, HostLibrary, QueryCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-
-/// Sample count: 10 normally, 2 under `P2PMAL_PERF_SMOKE=1` (CI smoke).
-fn samples() -> usize {
-    if std::env::var("P2PMAL_PERF_SMOKE").is_ok() {
-        2
-    } else {
-        10
-    }
-}
 
 /// The pre-overhaul match loop, kept verbatim as the comparison baseline:
 /// tokenize the query at this hop, then lowercase-and-scan every file.
@@ -91,7 +83,7 @@ fn bench_dense(c: &mut Criterion) {
     let work = (lib.len() * queries.len()) as u64;
 
     let mut g = c.benchmark_group("query_match_dense");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.throughput(Throughput::Elements(work));
     g.bench_function("reference_retokenize", |b| {
         b.iter(|| {
@@ -143,7 +135,7 @@ fn bench_zipf(c: &mut Criterion) {
     let work = (libs.iter().map(HostLibrary::len).sum::<usize>() * queries.len()) as u64;
 
     let mut g = c.benchmark_group("query_match_zipf");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.throughput(Throughput::Elements(work));
     g.bench_function("reference_retokenize", |b| {
         b.iter(|| {

@@ -7,19 +7,11 @@
 //! numbers it prints are not publication-grade.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use p2pmal_bench::perf_samples;
 use p2pmal_corpus::Roster;
 use p2pmal_crawler::ScanPipeline;
 use p2pmal_scanner::{AhoCorasick, ScanConfig, Scanner, Signature};
 use std::hint::black_box;
-
-/// Sample count: 10 normally, 2 under `P2PMAL_PERF_SMOKE=1` (CI smoke).
-fn samples() -> usize {
-    if std::env::var("P2PMAL_PERF_SMOKE").is_ok() {
-        2
-    } else {
-        10
-    }
-}
 
 fn clean_sample(len: usize) -> Vec<u8> {
     // Deterministic pseudo-random bytes: no signature present.
@@ -44,7 +36,7 @@ fn bench_scan(c: &mut Criterion) {
     let sample = clean_sample(1 << 20);
 
     let mut g = c.benchmark_group("scanner");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.throughput(Throughput::Bytes(sample.len() as u64));
     g.bench_function("aho_corasick_1MiB_clean", |b| {
         b.iter(|| black_box(scanner.scan("sample.exe", black_box(&sample))));
@@ -126,7 +118,7 @@ fn bench_prefilter(c: &mut Criterion) {
     let sample = clean_sample(1 << 20);
 
     let mut g = c.benchmark_group("prefilter");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.throughput(Throughput::Bytes(sample.len() as u64));
     g.bench_function("find_each_1MiB_clean", |b| {
         b.iter(|| {
@@ -155,7 +147,7 @@ fn bench_prefilter(c: &mut Criterion) {
 fn bench_crc32(c: &mut Criterion) {
     let sample = clean_sample(1 << 20);
     let mut g = c.benchmark_group("crc32");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.throughput(Throughput::Bytes(sample.len() as u64));
     g.bench_function("slice8_1MiB", |b| {
         b.iter(|| black_box(p2pmal_archive::crc32(black_box(&sample))));
@@ -227,7 +219,7 @@ fn bench_verdict_cache(c: &mut Criterion) {
     };
 
     let mut g = c.benchmark_group("verdict_cache");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.throughput(Throughput::Bytes(total_bytes));
     let mut cached = ScanPipeline::new(make_scanner(), 4096);
     g.bench_function("repeated_payloads_cached", |b| {

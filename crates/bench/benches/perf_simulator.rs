@@ -14,6 +14,7 @@
 //!   on four shards.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use p2pmal_bench::perf_samples;
 use p2pmal_core::LimewireScenario;
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, HostLibrary, Roster};
@@ -106,21 +107,12 @@ fn run_sharded_scenario(seed: u64, shards: usize) -> u64 {
     sc.run().sim_metrics.events_processed
 }
 
-/// Sample count: 10 normally, 2 under `P2PMAL_PERF_SMOKE=1` (CI smoke).
-fn samples() -> usize {
-    if std::env::var("P2PMAL_PERF_SMOKE").is_ok() {
-        2
-    } else {
-        10
-    }
-}
-
 const HOLD_DEPTH: usize = 100_000;
 const HOLD_OPS: usize = 200_000;
 
 fn bench_scheduler(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.bench_function(&format!("calendar_hold_{HOLD_DEPTH}"), |b| {
         b.iter(|| {
             let mut q = CalendarQueue::default();
@@ -146,7 +138,7 @@ fn bench_scheduler(c: &mut Criterion) {
 
 fn bench_sim(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     g.bench_function("overlay_600s_calendar", |b| {
         let mut seed = 0u64;
         b.iter(|| {
@@ -175,7 +167,7 @@ fn bench_sim(c: &mut Criterion) {
 /// counts — is the comparable number.
 fn bench_shard_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("shard_scaling");
-    g.sample_size(samples());
+    g.sample_size(perf_samples());
     for (label, shards) in [
         ("limewire_1day_shards1", 1usize),
         ("limewire_1day_shards4", 4),

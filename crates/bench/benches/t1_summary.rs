@@ -10,11 +10,11 @@
 //! ```
 
 use p2pmal_analysis::{summarize, summary_table, Comparison, Expectation};
-use p2pmal_bench::{banner, limewire_run, openft_run, BenchConfig};
+use p2pmal_bench::{banner, limewire_run, openft_run};
 use p2pmal_crawler::CrawlLog;
 
 fn main() {
-    let cfg = BenchConfig::from_env();
+    let cfg = p2pmal_bench::config();
     banner("T1", "data collection summary");
     let lw = limewire_run(&cfg);
     let ft = openft_run(&cfg);

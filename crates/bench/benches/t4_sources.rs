@@ -6,10 +6,10 @@
 //! infected hosts advertise RFC 1918 addresses.
 
 use p2pmal_analysis::{source_breakdown, source_table, Comparison, Expectation};
-use p2pmal_bench::{banner, limewire_run, openft_run, BenchConfig};
+use p2pmal_bench::{banner, limewire_run, openft_run};
 
 fn main() {
-    let cfg = BenchConfig::from_env();
+    let cfg = p2pmal_bench::config();
     banner("T4", "sources of malicious responses");
     let lw = limewire_run(&cfg);
     let ft = openft_run(&cfg);

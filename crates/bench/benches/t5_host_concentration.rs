@@ -4,10 +4,10 @@
 //! 67% of all the malicious responses, is served by a single host."
 
 use p2pmal_analysis::{host_concentration, host_table, top_malware, Comparison, Expectation};
-use p2pmal_bench::{banner, limewire_run, openft_run, BenchConfig};
+use p2pmal_bench::{banner, limewire_run, openft_run};
 
 fn main() {
-    let cfg = BenchConfig::from_env();
+    let cfg = p2pmal_bench::config();
     banner("T5", "host concentration of malicious responses");
     let lw = limewire_run(&cfg);
     let ft = openft_run(&cfg);

@@ -5,13 +5,13 @@
 //! detect over 99% of them" — at "a very low rate of false positives".
 
 use p2pmal_analysis::{Comparison, Expectation, Table};
-use p2pmal_bench::{banner, limewire_run, BenchConfig};
+use p2pmal_bench::{banner, limewire_run};
 use p2pmal_filter::{
     evaluate, EchoHeuristicFilter, HashBlacklist, LimewireBuiltin, ResponseFilter, SizeFilter,
 };
 
 fn main() {
-    let cfg = BenchConfig::from_env();
+    let cfg = p2pmal_bench::config();
     banner("T6", "filter comparison (LimeWire log)");
     let lw = limewire_run(&cfg);
     let resolved = &lw.resolved;

@@ -7,9 +7,10 @@
 //! ```
 //!
 //! Writes a machine-readable summary to `P2PMAL_BENCH_JSON`
-//! (default `BENCH_mega.json`).
+//! (default `BENCH_mega.json`). The variables are parsed strictly (see
+//! `p2pmal_core::config`).
 
-use p2pmal_core::{MegaRun, MegaScenario};
+use p2pmal_core::{MegaRun, RunConfig};
 use p2pmal_json::Value;
 
 fn mem_entry(label: &str, m: &p2pmal_netsim::MemoryStats) -> Value {
@@ -61,11 +62,12 @@ fn report(run: &MegaRun) {
     );
 }
 
-fn write_json(run: &MegaRun, seed: u64) {
+fn write_json(run: &MegaRun, seed: u64, cfg: &RunConfig) {
     let run_secs = run.wall.as_secs_f64();
     let events = run.sim_metrics.events_processed;
     let doc = Value::Obj(vec![
         ("seed".into(), seed.into()),
+        ("config".into(), cfg.to_json()),
         ("nodes".into(), (run.nodes as u64).into()),
         ("ultrapeers".into(), (run.ups as u64).into()),
         ("leaves".into(), (run.leaves as u64).into()),
@@ -87,29 +89,17 @@ fn write_json(run: &MegaRun, seed: u64) {
             ]),
         ),
     ]);
-    let path = std::env::var("P2PMAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_mega.json".into());
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    match std::fs::write(&path, doc.to_string_compact()) {
-        Ok(()) => eprintln!("[run_mega] wrote summary to {path}"),
-        Err(e) => eprintln!("[run_mega] could not write {path}: {e}"),
-    }
+    p2pmal_bench::write_bench_json(cfg, "BENCH_mega.json", &doc, "run_mega");
 }
 
 fn main() {
-    let seed = std::env::var("P2PMAL_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let scen = MegaScenario::from_env(seed);
+    let cfg = p2pmal_bench::config();
+    let scen = cfg.mega();
     eprintln!(
-        "[run_mega] seed {seed}, {} nodes, {} days, {} shards",
-        scen.nodes, scen.days, scen.shards,
+        "[run_mega] seed {}, {} nodes, {} days, {} shards",
+        scen.seed, scen.nodes, scen.days, scen.shards,
     );
     let run = scen.run_with_progress(|day| eprintln!("[run_mega] day {day} done"));
     report(&run);
-    write_json(&run, seed);
+    write_json(&run, scen.seed, &cfg);
 }

@@ -7,10 +7,13 @@
 //! # Multi-seed sweep, one study per thread:
 //! P2PMAL_QUICK=1 P2PMAL_SEEDS=1,2,3 cargo run --release -p p2pmal-bench --bin run_study
 //! ```
+//!
+//! The `P2PMAL_*` variables are parsed strictly (see `p2pmal_core::config`):
+//! an unknown name or a bad value exits with status 2 before anything runs.
 
 use p2pmal_analysis::hist_summary_line;
-use p2pmal_bench::{run_seeds, summary_to_json, BenchConfig, RunArtifact};
-use p2pmal_core::{LimewireScenario, NetworkRun, OpenFtScenario, Study};
+use p2pmal_bench::{run_seeds, summary_to_json, write_bench_json, RunArtifact};
+use p2pmal_core::{NetworkRun, RunConfig};
 use p2pmal_crawler::ScanStats;
 use p2pmal_json::Value;
 use p2pmal_netsim::{Counter, Subsystem};
@@ -209,7 +212,7 @@ fn telemetry_lines(label: &str, run: &NetworkRun) {
 
 /// Writes the machine-readable timing summary next to the human report so
 /// the perf trajectory is tracked across commits.
-fn write_bench_json(report: &p2pmal_core::StudyReport, cfg: &BenchConfig) {
+fn write_study_json(report: &p2pmal_core::StudyReport, cfg: &RunConfig) {
     let mut networks = Vec::new();
     if let Some(run) = report.limewire.as_ref() {
         networks.push(timing_entry("LimeWire", run));
@@ -218,25 +221,13 @@ fn write_bench_json(report: &p2pmal_core::StudyReport, cfg: &BenchConfig) {
         networks.push(timing_entry("OpenFT", run));
     }
     let doc = Value::Obj(vec![
-        ("seed".into(), cfg.seed.into()),
+        ("seed".into(), cfg.study_seed().into()),
         ("quick".into(), cfg.quick.into()),
         ("faults".into(), cfg.faults.as_str().into()),
+        ("config".into(), cfg.to_json()),
         ("networks".into(), Value::Arr(networks)),
     ]);
-    let path = std::env::var("P2PMAL_BENCH_JSON").unwrap_or_else(|_| "BENCH_study.json".into());
-    // `P2PMAL_BENCH_JSON=dir/file.json` must work even when `dir` does not
-    // exist yet (CI points this at a fresh artifacts directory).
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("[run_study] could not create {}: {e}", dir.display());
-            }
-        }
-    }
-    match std::fs::write(&path, doc.to_string_compact()) {
-        Ok(()) => eprintln!("[run_study] wrote timing summary to {path}"),
-        Err(e) => eprintln!("[run_study] could not write {path}: {e}"),
-    }
+    write_bench_json(cfg, "BENCH_study.json", &doc, "run_study");
 }
 
 fn artifact_line(a: &RunArtifact) {
@@ -271,7 +262,7 @@ fn artifact_line(a: &RunArtifact) {
     );
 }
 
-fn sweep(cfg: &BenchConfig, seeds: &[u64]) {
+fn sweep(cfg: &RunConfig, seeds: &[u64]) {
     eprintln!("[run_study] multi-seed sweep over {seeds:?}, one study per thread");
     let started = std::time::Instant::now();
     let runs = run_seeds(cfg, seeds);
@@ -302,31 +293,13 @@ fn sweep(cfg: &BenchConfig, seeds: &[u64]) {
 }
 
 fn main() {
-    let cfg = BenchConfig::from_env();
-    if let Some(seeds) = cfg.seeds.clone() {
-        sweep(&cfg, &seeds);
+    let cfg = p2pmal_bench::config();
+    if let Some(seeds) = &cfg.seeds {
+        sweep(&cfg, seeds);
         return;
     }
-    let mut lw = if cfg.quick {
-        LimewireScenario::quick(cfg.seed)
-    } else {
-        LimewireScenario::paper_scale(cfg.seed)
-    };
-    let mut ft = if cfg.quick {
-        OpenFtScenario::quick(cfg.seed ^ 0xF7)
-    } else {
-        OpenFtScenario::paper_scale(cfg.seed ^ 0xF7)
-    };
-    let (plan, retry) = cfg.fault_plan();
-    lw = lw.with_faults(plan, retry);
-    ft = ft.with_faults(plan, retry);
-    if let Some(days) = cfg.days {
-        lw.days = days;
-        ft.days = days;
-    }
-    let report = Study::new()
-        .with_limewire(lw)
-        .with_openft(ft)
+    let report = cfg
+        .study()
         .run_with_progress(|net, day| eprintln!("[run_study] {net}: day {day} done"));
 
     println!("{}", report.render_markdown());
@@ -352,7 +325,7 @@ fn main() {
         telemetry_lines("OpenFT", run);
         intern_lines("OpenFT", run);
     }
-    write_bench_json(&report, &cfg);
+    write_study_json(&report, &cfg);
     let comparisons = report.comparisons();
     eprintln!("{}", comparisons.to_json());
     if comparisons.all_hold() {

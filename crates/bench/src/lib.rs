@@ -5,55 +5,29 @@
 //! runs (LimeWire, OpenFT). Paper-scale runs simulate 35 days, so the
 //! harness caches each run's resolved log on disk under
 //! `target/p2pmal-runs/` — the first experiment pays for the simulation,
-//! the rest reload it in seconds. Delete the cache directory (or change
-//! the seed) to re-measure.
+//! the rest reload it in seconds.
 //!
-//! A cached run is keyed on everything in [`BenchConfig`] that changes the
-//! trajectory: `{network}-{quick|paper}-{seed}-{days}[-{faults}][-r{n}]`,
-//! plus `-sharded-w{ms}ms` when `P2PMAL_SHARDS` ≥ 2 (every shard count
-//! N ≥ 2 shares one trajectory, so N itself stays out of the key; the
-//! serial engine ignores the window, so serial keys omit it). Each
-//! artifact also records its engine and window, and a load whose recorded
-//! engine is missing or differs from the configuration's is a cache miss.
-//! The key does not cover the build: after a code change that moves the
-//! trajectory, delete the cache directory.
-//!
-//! Scale control via environment:
-//!
-//! * `P2PMAL_QUICK=1` — run the minutes-scale `quick()` scenarios;
-//! * `P2PMAL_SEED=<n>` — change the seed (default 2006);
-//! * `P2PMAL_SEEDS=<a,b,c>` — multi-seed sweep: every seed's two-network
-//!   study runs on its own thread (see [`run_seeds`]);
-//! * `P2PMAL_DAYS=<n>` — override the collection length;
-//! * `P2PMAL_TRACE=<level>` — leveled trace on stderr. Unset, empty, `0`,
-//!   `off`, `false` and `no` disable it; `1` prints the per-day
-//!   event/wall-time trace, including buffer-pool, queue-depth and
-//!   scan-pipeline (cache hit/miss/eviction, bytes hashed) statistics;
-//!   `2` additionally renders every telemetry event as it is recorded;
-//! * `P2PMAL_JOURNAL=<path>` — write the structured sim-time event journal
-//!   (one JSON object per line) to `<path>.limewire.jsonl` and
-//!   `<path>.openft.jsonl`, creating parent directories as needed;
-//! * `P2PMAL_JOURNAL_SAMPLE=<cat=N,...>` — journal only every Nth event of
-//!   a category (`query`, `download`, `scan`, `fault`, `churn`); `cat=0`
-//!   drops the category entirely;
-//! * `P2PMAL_FAULTS=none|mild|harsh` — network fault profile: packet loss,
-//!   spontaneous resets, latency spikes, corruption and host churn, with
-//!   the retry policy calibrated for each profile (`none` is the default
-//!   and is byte-identical to a fault-free simulator);
-//! * `P2PMAL_RETRIES=<n>` — override the per-object retry budget of the
-//!   selected fault profile (for retry-budget sweeps).
+//! Every run is configured by one [`RunConfig`], parsed from the
+//! `P2PMAL_*` environment variables by [`config`]; the table of variables
+//! is in `p2pmal_core::config`. A cached artifact records the settings
+//! that move its trajectory (quick or paper scale, seed, days, fault
+//! profile, retry budget, serial or sharded engine) together with a
+//! fingerprint of the workspace sources it was built from, and the cache
+//! file is named after a hash of those settings. A load whose record
+//! differs, or is missing, is a miss: the run is simulated again and
+//! overwrites the file. Every shard count N ≥ 2 runs one trajectory, so
+//! they share artifacts.
 
-use p2pmal_core::{fault_profile, LimewireScenario, OpenFtScenario};
+use p2pmal_core::RunConfig;
 use p2pmal_crawler::{
-    FailureBreakdown, HostKey, Network, ResolvedResponse, ResponseRecord, RetryPolicy, ScanStats,
+    FailureBreakdown, HostKey, Network, ResolvedResponse, ResponseRecord, ScanStats,
 };
 use p2pmal_json::Value;
 use p2pmal_netsim::SimTime;
 use p2pmal_netsim::{Counter, HistSummary};
-use p2pmal_netsim::{FaultPlan, SimConfig};
-use std::io::Write;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The cached form of one network run: everything the analyses consume.
 pub struct RunArtifact {
@@ -65,16 +39,12 @@ pub struct RunArtifact {
     pub downloads_failed: u64,
     pub sim_events: u64,
     /// Scan-pipeline counters (bodies, cache hits, bytes hashed, ...).
-    /// Defaults to zero when loading artifacts written before the counters
-    /// existed.
     pub scan: ScanStats,
     /// Fault-injection and retry-pipeline counters. All-zero for the
-    /// default `none` profile and for artifacts written before the fault
-    /// layer existed.
+    /// default `none` profile.
     pub resilience: ResilienceStats,
     /// Deterministic telemetry roll-up: named counters and log2-histogram
     /// summaries keyed on sim time (identical for identical seeds).
-    /// All-empty for artifacts written before the telemetry layer existed.
     pub telemetry: TelemetryStats,
     pub resolved: Vec<ResolvedResponse>,
 }
@@ -107,161 +77,104 @@ pub struct ResilienceStats {
     pub faults_churn_ups: u64,
 }
 
-/// Harness configuration from the environment.
-#[derive(Debug, Clone)]
-pub struct BenchConfig {
-    pub quick: bool,
-    pub seed: u64,
-    pub days: Option<u64>,
-    /// `P2PMAL_SEEDS=a,b,c` — seeds for a multi-seed sweep. When set,
-    /// `run_study` runs one full two-network study per seed, each on its
-    /// own thread.
-    pub seeds: Option<Vec<u64>>,
-    /// `P2PMAL_FAULTS=none|mild|harsh` — fault profile name.
-    pub faults: String,
-    /// `P2PMAL_RETRIES=<n>` — retry-budget override on top of the profile.
-    pub retries: Option<u8>,
-    /// `P2PMAL_SHARDS` (1 = serial engine) and `P2PMAL_SHARD_WINDOW_MS`
-    /// (in microseconds), read once by [`SimConfig::shards_from_env`].
-    pub shards: usize,
-    pub shard_window_us: u64,
+/// The process environment's [`RunConfig`]. An invalid `P2PMAL_*`
+/// variable ends the process with its message and exit status 2, before
+/// anything is simulated.
+pub fn config() -> RunConfig {
+    RunConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("[p2pmal] invalid configuration: {e}");
+        std::process::exit(2)
+    })
 }
 
-impl BenchConfig {
-    pub fn from_env() -> Self {
-        let quick = std::env::var("P2PMAL_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        let seed = std::env::var("P2PMAL_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2006);
-        let days = std::env::var("P2PMAL_DAYS")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        let seeds = std::env::var("P2PMAL_SEEDS").ok().map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect::<Vec<u64>>()
-        });
-        let faults = std::env::var("P2PMAL_FAULTS").unwrap_or_else(|_| "none".into());
-        assert!(
-            fault_profile(&faults).is_some(),
-            "P2PMAL_FAULTS={faults:?} is not a known profile (none|mild|harsh)"
-        );
-        let retries = std::env::var("P2PMAL_RETRIES")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        let (shards, shard_window_us) = SimConfig::shards_from_env();
-        BenchConfig {
-            quick,
-            seed,
-            days,
-            seeds: seeds.filter(|s| !s.is_empty()),
-            faults,
-            retries,
-            shards,
-            shard_window_us,
+/// Writes a BENCH summary to `P2PMAL_BENCH_JSON`, or to `default` when it
+/// is unset, creating the file's directory if needed (CI points it at a
+/// fresh artifacts directory). `tag` prefixes the stderr report.
+pub fn write_bench_json(cfg: &RunConfig, default: &str, doc: &Value, tag: &str) {
+    let path = cfg.bench_json.clone().unwrap_or_else(|| default.into());
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("[{tag}] could not create {}: {e}", dir.display());
         }
     }
+    match std::fs::write(&path, doc.to_string_compact()) {
+        Ok(()) => eprintln!("[{tag}] wrote summary to {}", path.display()),
+        Err(e) => eprintln!("[{tag}] could not write {}: {e}", path.display()),
+    }
+}
 
-    /// The simulation engine this configuration runs, as the run cache
-    /// records it: `("serial", 0)`, or `("sharded", window_us)` for every
-    /// shard count ≥ 2.
-    fn engine(&self) -> (&'static str, u64) {
-        if self.shards >= 2 {
-            ("sharded", self.shard_window_us)
-        } else {
-            ("serial", 0)
-        }
+/// Criterion sample count for the `perf_*` benches: 10, or 2 under
+/// `P2PMAL_PERF_SMOKE=1` (the CI smoke run).
+pub fn perf_samples() -> usize {
+    if config().perf_smoke {
+        2
+    } else {
+        10
     }
+}
 
-    /// The fault plan + retry policy this configuration selects.
-    pub fn fault_plan(&self) -> (FaultPlan, RetryPolicy) {
-        let (plan, mut retry) = fault_profile(&self.faults).expect("profile validated in from_env");
-        if let Some(n) = self.retries {
-            retry.max_retries = n;
-        }
-        (plan, retry)
-    }
+/// Fingerprint of the workspace's `crates/*/src` sources, computed by the
+/// build script.
+const BUILD_FINGERPRINT: &str = env!("SOURCE_FINGERPRINT");
 
-    /// This configuration re-keyed to another seed (for sweeps).
-    pub fn with_seed(&self, seed: u64) -> Self {
-        BenchConfig {
-            seed,
-            seeds: None,
-            ..self.clone()
-        }
-    }
-
-    fn tag(&self) -> String {
-        let days = self
-            .days
-            .map(|d| d.to_string())
-            .unwrap_or_else(|| "default".into());
-        let mut tag = format!(
-            "{}-{}-{}",
-            if self.quick { "quick" } else { "paper" },
-            self.seed,
-            days
-        );
-        // Historical artifacts (pre-fault-layer) carry no suffix; only
-        // non-default profiles extend the cache key.
-        if self.faults != "none" {
-            tag.push('-');
-            tag.push_str(&self.faults);
-        }
-        if let Some(n) = self.retries {
-            tag.push_str(&format!("-r{n}"));
-        }
-        if self.shards >= 2 {
-            tag.push_str(&format!("-sharded-w{}ms", self.shard_window_us / 1000));
-        }
-        tag
-    }
+/// The run cache's entry for `network` under `cfg`, built from sources
+/// with fingerprint `build`: the artifact's file, named after a hash of
+/// the settings that move the trajectory, and the record the artifact
+/// carries, which adds the fingerprint. Every shard count N ≥ 2 runs one
+/// trajectory, and the exchange window is a source constant the
+/// fingerprint covers, so the engine is all the record says of sharding.
+fn cache_entry(network: Network, cfg: &RunConfig, build: &str) -> (PathBuf, Value) {
+    let engine = if cfg.shards >= 2 { "sharded" } else { "serial" };
+    let mut record = vec![
+        ("network".into(), network.label().into()),
+        ("quick".into(), cfg.quick.into()),
+        ("seed".into(), cfg.study_seed().into()),
+        ("days".into(), cfg.days.into()),
+        ("faults".into(), cfg.faults.as_str().into()),
+        ("retries".into(), cfg.retries.into()),
+        ("engine".into(), engine.into()),
+    ];
+    let mut key = DefaultHasher::new();
+    Value::Obj(record.clone())
+        .to_string_compact()
+        .hash(&mut key);
+    record.push(("build".into(), build.into()));
+    let name = format!("{}-{:016x}.json", network.label(), key.finish());
+    (cache_dir().join(name.to_lowercase()), Value::Obj(record))
 }
 
 fn cache_dir() -> PathBuf {
     // Anchor at the workspace target directory regardless of the CWD the
     // bench harness uses (benches run with CWD = crate dir).
-    let mut p = match std::env::var("CARGO_TARGET_DIR") {
-        Ok(t) => PathBuf::from(t),
-        Err(_) => {
-            let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-            p.push("../../target");
-            p
-        }
-    };
-    p.push("p2pmal-runs");
-    p
+    std::env::var_os("CARGO_TARGET_DIR")
+        .map_or_else(
+            || Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target"),
+            PathBuf::from,
+        )
+        .join("p2pmal-runs")
 }
 
-fn cache_path(network: &str, cfg: &BenchConfig) -> PathBuf {
-    let mut p = cache_dir();
-    p.push(format!("{network}-{}.json", cfg.tag()));
-    p
-}
-
-/// Loads the artifact at `path` if it was recorded under `cfg`'s engine; a
-/// missing or different engine is a cache miss.
-fn load(path: &PathBuf, cfg: &BenchConfig) -> Option<RunArtifact> {
+/// Loads the artifact at `path` if it carries `record`; a missing or
+/// different record is a cache miss. Only a simulation writes a journal,
+/// so a run under a `cfg` that asks for one never loads.
+fn load(cfg: &RunConfig, path: &Path, record: &Value) -> Option<RunArtifact> {
+    if cfg.telemetry.journal.is_some() {
+        return None;
+    }
     let text = std::fs::read_to_string(path).ok()?;
     let v = p2pmal_json::parse(&text).ok()?;
-    let (engine, window_us) = cfg.engine();
-    if v.get("engine")?.as_str()? != engine || v.get("shard_window_us")?.as_u64()? != window_us {
+    if v.get("config")? != record {
         return None;
     }
     artifact_from_json(&v)
 }
 
-fn store(path: &PathBuf, artifact: &RunArtifact, cfg: &BenchConfig) {
+fn store(path: &Path, artifact: &RunArtifact, record: &Value) {
     if let Some(dir) = path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    if let Ok(mut f) = std::fs::File::create(path) {
-        let json = artifact_to_json(artifact, cfg.engine());
-        let _ = f.write_all(json.to_string_compact().as_bytes());
-    }
+    let json = artifact_to_json(artifact, record);
+    let _ = std::fs::write(path, json.to_string_compact());
 }
 
 fn host_to_json(h: &HostKey) -> Value {
@@ -368,14 +281,14 @@ fn failures_to_json(f: &FailureBreakdown) -> Value {
 }
 
 fn failures_from_json(v: &Value) -> Option<FailureBreakdown> {
-    let n = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
+    let n = |k: &str| v.get(k).and_then(Value::as_u64);
     Some(FailureBreakdown {
-        timeout: n("timeout"),
-        reset: n("reset"),
-        truncated: n("truncated"),
-        peer_gone: n("peer_gone"),
-        corrupt: n("corrupt"),
-        other: n("other"),
+        timeout: n("timeout")?,
+        reset: n("reset")?,
+        truncated: n("truncated")?,
+        peer_gone: n("peer_gone")?,
+        corrupt: n("corrupt")?,
+        other: n("other")?,
     })
 }
 
@@ -405,22 +318,19 @@ fn resilience_to_json(r: &ResilienceStats) -> Value {
 }
 
 fn resilience_from_json(v: &Value) -> Option<ResilienceStats> {
-    let n = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
+    let n = |k: &str| v.get(k).and_then(Value::as_u64);
     Some(ResilienceStats {
-        retries_scheduled: n("retries_scheduled"),
-        retry_successes: n("retry_successes"),
-        push_fallbacks: n("push_fallbacks"),
-        unscannable: n("unscannable"),
-        failures: v
-            .get("failures")
-            .and_then(failures_from_json)
-            .unwrap_or_default(),
-        faults_chunks_dropped: n("faults_chunks_dropped"),
-        faults_chunks_corrupted: n("faults_chunks_corrupted"),
-        faults_resets: n("faults_resets"),
-        faults_latency_spikes: n("faults_latency_spikes"),
-        faults_churn_downs: n("faults_churn_downs"),
-        faults_churn_ups: n("faults_churn_ups"),
+        retries_scheduled: n("retries_scheduled")?,
+        retry_successes: n("retry_successes")?,
+        push_fallbacks: n("push_fallbacks")?,
+        unscannable: n("unscannable")?,
+        failures: failures_from_json(v.get("failures")?)?,
+        faults_chunks_dropped: n("faults_chunks_dropped")?,
+        faults_chunks_corrupted: n("faults_chunks_corrupted")?,
+        faults_resets: n("faults_resets")?,
+        faults_latency_spikes: n("faults_latency_spikes")?,
+        faults_churn_downs: n("faults_churn_downs")?,
+        faults_churn_ups: n("faults_churn_ups")?,
     })
 }
 
@@ -472,35 +382,28 @@ fn telemetry_to_json(t: &TelemetryStats) -> Value {
 }
 
 fn telemetry_from_json(v: &Value) -> Option<TelemetryStats> {
-    let counters = match v.get("counters")? {
-        Value::Obj(pairs) => pairs
-            .iter()
-            .filter_map(|(k, n)| Some((k.clone(), n.as_u64()?)))
-            .collect(),
-        _ => Vec::new(),
+    let Value::Obj(counters) = v.get("counters")? else {
+        return None;
     };
-    let hists = match v.get("hists")? {
-        Value::Obj(pairs) => pairs
-            .iter()
-            .filter_map(|(k, s)| Some((k.clone(), summary_from_json(s)?)))
-            .collect(),
-        _ => Vec::new(),
+    let Value::Obj(hists) = v.get("hists")? else {
+        return None;
     };
-    Some(TelemetryStats { counters, hists })
+    Some(TelemetryStats {
+        counters: counters
+            .iter()
+            .map(|(k, n)| Some((k.clone(), n.as_u64()?)))
+            .collect::<Option<_>>()?,
+        hists: hists
+            .iter()
+            .map(|(k, s)| Some((k.clone(), summary_from_json(s)?)))
+            .collect::<Option<_>>()?,
+    })
 }
 
-fn artifact_to_json(a: &RunArtifact, (engine, window_us): (&str, u64)) -> Value {
+fn artifact_to_json(a: &RunArtifact, record: &Value) -> Value {
     Value::Obj(vec![
-        ("engine".into(), engine.into()),
-        ("shard_window_us".into(), window_us.into()),
-        (
-            "network".into(),
-            match a.network {
-                Network::Limewire => "limewire",
-                Network::OpenFt => "openft",
-            }
-            .into(),
-        ),
+        ("config".into(), record.clone()),
+        ("network".into(), a.network.label().to_lowercase().into()),
         ("seed".into(), a.seed.into()),
         ("days".into(), a.days.into()),
         ("queries_issued".into(), a.queries_issued.into()),
@@ -537,18 +440,9 @@ fn artifact_from_json(v: &Value) -> Option<RunArtifact> {
         downloads_attempted: v.get("downloads_attempted")?.as_u64()?,
         downloads_failed: v.get("downloads_failed")?.as_u64()?,
         sim_events: v.get("sim_events")?.as_u64()?,
-        // Artifacts written before the scan pipeline carry no counters.
-        scan: v.get("scan").and_then(scan_from_json).unwrap_or_default(),
-        // Likewise for artifacts predating the fault layer.
-        resilience: v
-            .get("resilience")
-            .and_then(resilience_from_json)
-            .unwrap_or_default(),
-        // And for artifacts predating the telemetry layer.
-        telemetry: v
-            .get("telemetry")
-            .and_then(telemetry_from_json)
-            .unwrap_or_default(),
+        scan: scan_from_json(v.get("scan")?)?,
+        resilience: resilience_from_json(v.get("resilience")?)?,
+        telemetry: telemetry_from_json(v.get("telemetry")?)?,
         resolved,
     })
 }
@@ -588,87 +482,41 @@ fn resilience_of(run: &p2pmal_core::NetworkRun) -> ResilienceStats {
 }
 
 /// Returns the (possibly cached) LimeWire measurement run.
-pub fn limewire_run(cfg: &BenchConfig) -> RunArtifact {
-    let path = cache_path("limewire", cfg);
-    if let Some(a) = load(&path, cfg) {
-        eprintln!(
-            "[p2pmal] loaded cached LimeWire run from {}",
-            path.display()
-        );
-        return a;
-    }
-    let mut scenario = if cfg.quick {
-        LimewireScenario::quick(cfg.seed)
-    } else {
-        LimewireScenario::paper_scale(cfg.seed)
-    };
-    let (plan, retry) = cfg.fault_plan();
-    scenario = scenario.with_faults(plan, retry);
-    scenario.shards = cfg.shards;
-    scenario.shard_window_us = cfg.shard_window_us;
-    if let Some(days) = cfg.days {
-        scenario.days = days;
-    }
-    eprintln!(
-        "[p2pmal] simulating LimeWire: {} days, {} ultrapeers, {} clean leaves, faults={}...",
-        scenario.days, scenario.ultrapeers, scenario.clean_leaves, cfg.faults
-    );
-    let started = std::time::Instant::now();
-    let run = scenario.run_with_progress(|d| eprintln!("[p2pmal]   LimeWire day {d} done"));
-    eprintln!(
-        "[p2pmal] LimeWire run took {:.1}s",
-        started.elapsed().as_secs_f64()
-    );
-    let artifact = RunArtifact {
-        network: Network::Limewire,
-        seed: cfg.seed,
-        days: scenario.days,
-        queries_issued: run.log.queries_issued,
-        downloads_attempted: run.log.downloads_attempted,
-        downloads_failed: run.log.downloads_failed,
-        sim_events: run.sim_metrics.events_processed,
-        scan: run.log.scan,
-        resilience: resilience_of(&run),
-        telemetry: telemetry_of(&run),
-        resolved: run.resolved,
-    };
-    store(&path, &artifact, cfg);
-    artifact
+pub fn limewire_run(cfg: &RunConfig) -> RunArtifact {
+    network_run(Network::Limewire, cfg)
 }
 
 /// Returns the (possibly cached) OpenFT measurement run.
-pub fn openft_run(cfg: &BenchConfig) -> RunArtifact {
-    let path = cache_path("openft", cfg);
-    if let Some(a) = load(&path, cfg) {
-        eprintln!("[p2pmal] loaded cached OpenFT run from {}", path.display());
+pub fn openft_run(cfg: &RunConfig) -> RunArtifact {
+    network_run(Network::OpenFt, cfg)
+}
+
+fn network_run(network: Network, cfg: &RunConfig) -> RunArtifact {
+    let label = network.label();
+    let (path, record) = cache_entry(network, cfg, BUILD_FINGERPRINT);
+    if let Some(a) = load(cfg, &path, &record) {
+        eprintln!("[p2pmal] loaded cached {label} run from {}", path.display());
         return a;
     }
-    let mut scenario = if cfg.quick {
-        OpenFtScenario::quick(cfg.seed ^ 0xF7)
-    } else {
-        OpenFtScenario::paper_scale(cfg.seed ^ 0xF7)
-    };
-    let (plan, retry) = cfg.fault_plan();
-    scenario = scenario.with_faults(plan, retry);
-    scenario.shards = cfg.shards;
-    scenario.shard_window_us = cfg.shard_window_us;
-    if let Some(days) = cfg.days {
-        scenario.days = days;
-    }
-    eprintln!(
-        "[p2pmal] simulating OpenFT: {} days, {} search nodes, {} users, faults={}...",
-        scenario.days, scenario.search_nodes, scenario.clean_users, cfg.faults
-    );
+    eprintln!("[p2pmal] simulating {label}, faults={}...", cfg.faults);
+    let progress = move |d| eprintln!("[p2pmal]   {label} day {d} done");
     let started = std::time::Instant::now();
-    let run = scenario.run_with_progress(|d| eprintln!("[p2pmal]   OpenFT day {d} done"));
-    eprintln!(
-        "[p2pmal] OpenFT run took {:.1}s",
-        started.elapsed().as_secs_f64()
-    );
+    let (days, run) = match network {
+        Network::Limewire => {
+            let s = cfg.limewire();
+            (s.days, s.run_with_progress(progress))
+        }
+        Network::OpenFt => {
+            let s = cfg.openft();
+            (s.days, s.run_with_progress(progress))
+        }
+    };
+    let secs = started.elapsed().as_secs_f64();
+    eprintln!("[p2pmal] {label} run of {days} days took {secs:.1}s");
     let artifact = RunArtifact {
-        network: Network::OpenFt,
-        seed: cfg.seed,
-        days: scenario.days,
+        network,
+        seed: cfg.study_seed(),
+        days,
         queries_issued: run.log.queries_issued,
         downloads_attempted: run.log.downloads_attempted,
         downloads_failed: run.log.downloads_failed,
@@ -678,7 +526,7 @@ pub fn openft_run(cfg: &BenchConfig) -> RunArtifact {
         telemetry: telemetry_of(&run),
         resolved: run.resolved,
     };
-    store(&path, &artifact, cfg);
+    store(&path, &artifact, &record);
     artifact
 }
 
@@ -686,7 +534,7 @@ pub fn openft_run(cfg: &BenchConfig) -> RunArtifact {
 /// its own thread. The artifacts are bit-identical to sequential
 /// [`limewire_run`] + [`openft_run`] calls: each simulation owns its
 /// simulator, world and RNG streams, and the on-disk cache key is the same.
-pub fn both_runs(cfg: &BenchConfig) -> (RunArtifact, RunArtifact) {
+pub fn both_runs(cfg: &RunConfig) -> (RunArtifact, RunArtifact) {
     std::thread::scope(|scope| {
         let lw = scope.spawn(|| limewire_run(cfg));
         let ft = scope.spawn(|| openft_run(cfg));
@@ -708,7 +556,7 @@ pub struct SeedRun {
 /// its own thread (and the two networks within a study on threads of their
 /// own). Results come back in the order of `seeds`, and each entry matches
 /// what a sequential single-seed run of that seed produces.
-pub fn run_seeds(cfg: &BenchConfig, seeds: &[u64]) -> Vec<SeedRun> {
+pub fn run_seeds(cfg: &RunConfig, seeds: &[u64]) -> Vec<SeedRun> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = seeds
             .iter()
@@ -743,17 +591,8 @@ pub fn banner(id: &str, what: &str) {
 mod tests {
     use super::*;
 
-    fn config(shards: usize, shard_window_us: u64) -> BenchConfig {
-        BenchConfig {
-            quick: true,
-            seed: 2006,
-            days: None,
-            seeds: None,
-            faults: "none".into(),
-            retries: None,
-            shards,
-            shard_window_us,
-        }
+    fn config(pairs: &[(&str, &str)]) -> RunConfig {
+        RunConfig::parse(pairs.iter().copied()).expect("valid test configuration")
     }
 
     fn artifact() -> RunArtifact {
@@ -780,55 +619,99 @@ mod tests {
         ))
     }
 
+    /// Stores an artifact under `cfg` and build `b1`, then returns whether
+    /// it reloads under `other` and build `b2`.
+    fn reloads(name: &str, cfg: &RunConfig, other: &RunConfig, b2: &str) -> bool {
+        let path = scratch_path(name);
+        let (_, record) = cache_entry(Network::Limewire, cfg, "b1");
+        store(&path, &artifact(), &record);
+        let (_, expected) = cache_entry(Network::Limewire, other, b2);
+        let hit = load(other, &path, &expected);
+        let _ = std::fs::remove_file(&path);
+        hit.map(|a| assert_eq!(a.sim_events, 100)).is_some()
+    }
+
     #[test]
-    fn cache_key_separates_engines_but_not_shard_counts() {
-        let serial = cache_path("limewire", &config(1, 1_000_000));
-        let two = cache_path("limewire", &config(2, 1_000_000));
-        let four = cache_path("limewire", &config(4, 1_000_000));
-        let narrow = cache_path("limewire", &config(4, 250_000));
-        assert_ne!(serial, two, "serial and sharded runs share a cache key");
-        assert_eq!(two, four, "every shard count >= 2 runs one trajectory");
-        assert_ne!(four, narrow, "the window changes the sharded trajectory");
+    fn stored_artifact_reloads_under_the_same_config_and_build() {
+        let cfg = config(&[("P2PMAL_QUICK", "1"), ("P2PMAL_FAULTS", "mild")]);
+        assert!(reloads("same", &cfg, &cfg, "b1"));
+        // Settings that leave the trajectory alone share the artifact.
+        let traced = config(&[
+            ("P2PMAL_QUICK", "1"),
+            ("P2PMAL_FAULTS", "mild"),
+            ("P2PMAL_TRACE", "1"),
+        ]);
+        assert!(reloads("traced", &cfg, &traced, "b1"));
+        let (two, four) = (
+            config(&[("P2PMAL_SHARDS", "2")]),
+            config(&[("P2PMAL_SHARDS", "4")]),
+        );
         assert_eq!(
-            serial,
-            cache_path("limewire", &config(1, 250_000)),
-            "the serial engine ignores the window"
+            cache_entry(Network::Limewire, &two, "b1"),
+            cache_entry(Network::Limewire, &four, "b1"),
+            "every shard count >= 2 runs one trajectory"
+        );
+        assert!(reloads("shards", &two, &four, "b1"));
+    }
+
+    #[test]
+    fn stored_artifact_misses_under_another_config_or_build() {
+        let base = config(&[("P2PMAL_QUICK", "1")]);
+        for (name, other) in [
+            (
+                "engine",
+                config(&[("P2PMAL_QUICK", "1"), ("P2PMAL_SHARDS", "4")]),
+            ),
+            (
+                "faults",
+                config(&[("P2PMAL_QUICK", "1"), ("P2PMAL_FAULTS", "harsh")]),
+            ),
+            (
+                "retries",
+                config(&[("P2PMAL_QUICK", "1"), ("P2PMAL_RETRIES", "2")]),
+            ),
+        ] {
+            assert!(!reloads(name, &base, &other, "b1"), "{name}");
+            assert!(!reloads(name, &other, &base, "b1"), "{name}");
+            assert_ne!(
+                cache_entry(Network::Limewire, &base, "b1").0,
+                cache_entry(Network::Limewire, &other, "b1").0,
+                "{name} shares a cache file"
+            );
+        }
+        assert!(!reloads("build", &base, &base, "b2"));
+        assert_ne!(
+            cache_entry(Network::Limewire, &base, "b1").0,
+            cache_entry(Network::OpenFt, &base, "b1").0
         );
     }
 
     #[test]
-    fn cached_artifact_loads_only_under_its_engine() {
-        let serial = config(1, 1_000_000);
-        let sharded = config(4, 1_000_000);
-        for (stored, other, name) in [
-            (&serial, &sharded, "serial"),
-            (&sharded, &serial, "sharded"),
-        ] {
-            let path = scratch_path(name);
-            store(&path, &artifact(), stored);
-            let hit = load(&path, stored).expect("same engine reloads");
-            assert_eq!(hit.sim_events, 100);
-            assert!(
-                load(&path, other).is_none(),
-                "a {name} artifact loaded under another engine"
-            );
-            let _ = std::fs::remove_file(&path);
-        }
+    fn a_run_that_asks_for_a_journal_never_loads() {
+        let cfg = config(&[("P2PMAL_QUICK", "1")]);
+        let journaled = config(&[("P2PMAL_QUICK", "1"), ("P2PMAL_JOURNAL", "j.jsonl")]);
+        let (_, record) = cache_entry(Network::Limewire, &cfg, "b1");
+        let path = scratch_path("journal");
+        store(&path, &artifact(), &record);
+        assert!(load(&cfg, &path, &record).is_some());
+        assert!(load(&journaled, &path, &record).is_none());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn artifact_without_engine_is_a_cache_miss() {
-        let cfg = config(1, 1_000_000);
+    fn artifact_without_a_config_record_misses() {
+        let cfg = config(&[("P2PMAL_QUICK", "1")]);
+        let (_, record) = cache_entry(Network::Limewire, &cfg, "b1");
         let path = scratch_path("legacy");
-        let Value::Obj(fields) = artifact_to_json(&artifact(), cfg.engine()) else {
+        let Value::Obj(fields) = artifact_to_json(&artifact(), &record) else {
             unreachable!("artifacts serialize to objects")
         };
-        let legacy: Vec<_> = fields
-            .into_iter()
-            .filter(|(k, _)| k != "engine" && k != "shard_window_us")
-            .collect();
+        // The shape artifacts had before they carried a config record.
+        let mut legacy: Vec<_> = fields.into_iter().filter(|(k, _)| k != "config").collect();
+        legacy.push(("engine".into(), "serial".into()));
+        legacy.push(("shard_window_us".into(), 0u64.into()));
         std::fs::write(&path, Value::Obj(legacy).to_string_compact()).unwrap();
-        assert!(load(&path, &cfg).is_none());
+        assert!(load(&cfg, &path, &record).is_none());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -11,7 +11,9 @@
 //!   ([`LimewireScenario`], [`OpenFtScenario`]) with `paper_scale()` and
 //!   `quick()` variants;
 //! * [`study`] — the [`Study`] builder and [`StudyReport`] with every
-//!   reconstructed table/figure plus paper-vs-measured comparisons.
+//!   reconstructed table/figure plus paper-vs-measured comparisons;
+//! * [`config`] — [`RunConfig`], the one place the `P2PMAL_*` environment
+//!   variables are read, which builds the harness scenarios.
 //!
 //! # Quickstart
 //!
@@ -23,6 +25,7 @@
 //! assert!(report.summaries()[0].responses > 0);
 //! ```
 
+pub mod config;
 pub mod mega;
 pub mod scenario;
 pub mod study;
@@ -32,6 +35,7 @@ pub mod study;
 /// configure sinks and read histograms without naming `p2pmal-netsim`.
 pub use p2pmal_netsim::telemetry;
 
+pub use config::{ConfigError, RunConfig};
 pub use mega::{MegaRun, MegaScenario};
 pub use scenario::{fault_profile, InfectionSpec, LimewireScenario, NetworkRun, OpenFtScenario};
 pub use study::{FilterRow, Study, StudyReport};

@@ -5,7 +5,7 @@
 //! Differences from [`crate::LimewireScenario`]:
 //!
 //! * the population is parameterized by a single `nodes` count
-//!   (`P2PMAL_MEGA_NODES`), with the ultrapeer backbone, leaf libraries and
+//!   (`P2PMAL_MEGA_NODES`, see [`crate::RunConfig::mega`]), with the ultrapeer backbone, leaf libraries and
 //!   infection mix all derived proportionally;
 //! * ultrapeers bootstrap off a bounded window of prior ultrapeers and
 //!   leaves off shared bootstrap groups, so population setup is O(nodes),
@@ -18,6 +18,7 @@
 //! scan pipeline), so a "bounded study run" at 250k+ nodes exercises every
 //! layer the paper-scale study does.
 
+use crate::config::RunConfig;
 use crate::scenario::clean_library;
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, FamilyId, HostLibrary, Roster};
@@ -102,26 +103,10 @@ impl MegaScenario {
                 base_interval_secs: 60,
                 ..Default::default()
             },
-            telemetry: TelemetryConfig::from_env(),
-            shards: SimConfig::shards_from_env().0,
-            shard_window_us: SimConfig::shards_from_env().1,
+            telemetry: RunConfig::env().telemetry.clone(),
+            shards: RunConfig::env().shards,
+            shard_window_us: SimConfig::default().shard_window_us,
         }
-    }
-
-    /// Reads `P2PMAL_MEGA_NODES` (default 50_000) and `P2PMAL_DAYS`.
-    pub fn from_env(seed: u64) -> Self {
-        let nodes = std::env::var("P2PMAL_MEGA_NODES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(50_000);
-        let mut s = Self::new(seed, nodes);
-        if let Some(days) = std::env::var("P2PMAL_DAYS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            s.days = days;
-        }
-        s
     }
 
     /// Builds the population, runs the bounded collection, returns the

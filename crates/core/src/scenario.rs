@@ -19,16 +19,17 @@
 //!   popular bait titles, with a handful of minor infected users supplying
 //!   the remaining third of malicious responses.
 
+use crate::config::RunConfig;
 use p2pmal_corpus::catalog::{Catalog, CatalogConfig};
 use p2pmal_corpus::{ContentStore, FamilyId, HostLibrary, Roster};
 use p2pmal_crawler::{
     CrawlLog, FtCrawler, FtCrawlerConfig, GnutellaCrawler, GnutellaCrawlerConfig, Network,
-    ResolvedResponse, RetryPolicy, ScanStats, WorkloadConfig, DEFAULT_SCAN_CACHE_ENTRIES,
+    ResolvedResponse, RetryPolicy, WorkloadConfig, DEFAULT_SCAN_CACHE_ENTRIES,
 };
 use p2pmal_gnutella::servent::{Servent, ServentConfig, SharedWorld};
 use p2pmal_netsim::{
-    FaultPlan, HostAddr, NodeSpec, SimConfig, SimDuration, SimMetrics, SimTime, Simulator,
-    TelemetryConfig,
+    App, FaultPlan, HostAddr, NodeId, NodeSpec, SimConfig, SimDuration, SimMetrics, SimTime,
+    Simulator, TelemetryConfig,
 };
 use p2pmal_openft::node::{FtConfig, FtNode};
 use p2pmal_scanner::Scanner;
@@ -58,8 +59,8 @@ impl InfectionSpec {
 }
 
 /// Named fault/resilience profile: the netsim [`FaultPlan`] paired with the
-/// crawler [`RetryPolicy`] calibrated for it. These are the values behind
-/// the `P2PMAL_FAULTS=none|mild|harsh` knob.
+/// crawler [`RetryPolicy`] calibrated for it, by the names
+/// `P2PMAL_FAULTS` accepts (see [`crate::RunConfig`]).
 pub fn fault_profile(name: &str) -> Option<(FaultPlan, RetryPolicy)> {
     match name {
         "none" => Some((FaultPlan::none(), RetryPolicy::legacy())),
@@ -86,61 +87,29 @@ pub struct NetworkRun {
     pub shard_window_us: u64,
 }
 
-/// `P2PMAL_TRACE=1`: per-day progress line with scheduler and buffer-pool
+/// Trace level ≥ 1: per-day progress line with scheduler and buffer-pool
 /// health (queue depth + peak, pool hit rate, bytes recycled), plus the
-/// scan-pipeline counters (bodies, cache hits/misses/evictions, distinct
-/// payloads, bytes hashed) when a crawler snapshot is available.
-///
-/// Accepted `P2PMAL_TRACE` values (parsed by
-/// `p2pmal_netsim::telemetry::parse_trace_level`): unset, empty, `0`,
-/// `off`, `false`, `no` → off; `2` → per-day lines *plus* per-event
-/// records on stderr; anything else (the historical `1`) → per-day lines.
-///
-/// Per-day crawler-side counters a trace line reports alongside the
-/// simulator metrics.
-struct DayCrawlStats {
-    scan: ScanStats,
-    retries: u64,
-    retry_successes: u64,
-    failures: u64,
-}
-
-impl DayCrawlStats {
-    fn of(log: &CrawlLog) -> Self {
-        DayCrawlStats {
-            scan: log.scan,
-            retries: log.retries_scheduled,
-            retry_successes: log.retry_successes,
-            failures: log.failures.total(),
-        }
-    }
-}
-
+/// crawler's scan-pipeline counters (bodies, cache hits/misses/evictions,
+/// distinct payloads, bytes hashed).
 fn trace_day(
     net: &str,
     day: u64,
-    events: u64,
     delta: u64,
     wall_secs: f64,
-    sim: &Simulator,
-    crawl: Option<&DayCrawlStats>,
+    pending: usize,
+    m: &SimMetrics,
+    log: &CrawlLog,
 ) {
-    let m = sim.metrics();
-    let scan_part = match crawl {
-        Some(c) => {
-            let s = &c.scan;
-            format!(
-                ", scan {} bodies / {} hits / {} misses / {} evict / {} distinct / {} KiB hashed",
-                s.bodies,
-                s.cache_hits,
-                s.cache_misses,
-                s.cache_evictions,
-                s.distinct_payloads,
-                s.bytes_hashed / 1024,
-            )
-        }
-        None => String::new(),
-    };
+    let s = &log.scan;
+    let scan_part = format!(
+        ", scan {} bodies / {} hits / {} misses / {} evict / {} distinct / {} KiB hashed",
+        s.bodies,
+        s.cache_hits,
+        s.cache_misses,
+        s.cache_evictions,
+        s.distinct_payloads,
+        s.bytes_hashed / 1024,
+    );
     let fault_events = m.faults_chunks_dropped
         + m.faults_chunks_corrupted
         + m.faults_resets
@@ -159,12 +128,14 @@ fn trace_day(
     } else {
         String::new()
     };
-    let resilience_part = match crawl {
-        Some(c) if c.retries + c.failures > 0 => format!(
-            ", retries {} scheduled / {} recovered / {} terminal failures",
-            c.retries, c.retry_successes, c.failures,
-        ),
-        _ => String::new(),
+    let failures = log.failures.total();
+    let resilience_part = if log.retries_scheduled + failures > 0 {
+        format!(
+            ", retries {} scheduled / {} recovered / {failures} terminal failures",
+            log.retries_scheduled, log.retry_successes,
+        )
+    } else {
+        String::new()
     };
     let timing_part = if m.timing.is_empty() {
         String::new()
@@ -172,9 +143,9 @@ fn trace_day(
         format!(", timing {}", m.timing.render_compact())
     };
     eprintln!(
-        "[trace] {net} day {day}: {events} events (+{delta}), {wall_secs:.1}s wall, \
-         queue {} pending (peak {}), pool {} hits / {} misses / {} KiB recycled (free peak {}){scan_part}{fault_part}{resilience_part}{timing_part}",
-        sim.pending_events(),
+        "[trace] {net} day {day}: {} events (+{delta}), {wall_secs:.1}s wall, \
+         queue {pending} pending (peak {}), pool {} hits / {} misses / {} KiB recycled (free peak {}){scan_part}{fault_part}{resilience_part}{timing_part}",
+        m.events_processed,
         m.queue_high_water,
         m.pool_hits,
         m.pool_misses,
@@ -183,20 +154,99 @@ fn trace_day(
     );
 }
 
-/// Clones the simulator metrics and fills in the counters the harness
-/// observed through the crawl log (scan pipeline, download retries).
-fn metrics_with_log(sim: &Simulator, log: &CrawlLog) -> SimMetrics {
-    let mut m = sim.metrics().clone();
-    let scan = log.scan;
-    m.scan_bodies = scan.bodies;
-    m.scan_bytes_hashed = scan.bytes_hashed;
-    m.scan_cache_hits = scan.cache_hits;
-    m.scan_cache_misses = scan.cache_misses;
-    m.scan_cache_evictions = scan.cache_evictions;
-    m.scan_distinct_payloads = scan.distinct_payloads;
-    m.dl_retries = log.retries_scheduled;
-    m.dl_retry_successes = log.retry_successes;
-    m
+/// The instrumented client of a scenario, whichever network it crawls.
+trait Crawler: 'static {
+    fn log(&self) -> &CrawlLog;
+    fn take_log(&mut self) -> CrawlLog;
+}
+
+impl Crawler for GnutellaCrawler {
+    fn log(&self) -> &CrawlLog {
+        GnutellaCrawler::log(self)
+    }
+    fn take_log(&mut self) -> CrawlLog {
+        GnutellaCrawler::take_log(self)
+    }
+}
+
+impl Crawler for FtCrawler {
+    fn log(&self) -> &CrawlLog {
+        FtCrawler::log(self)
+    }
+    fn take_log(&mut self) -> CrawlLog {
+        FtCrawler::take_log(self)
+    }
+}
+
+fn crawler_of<C: Crawler>(app: &mut dyn App) -> &mut C {
+    app.as_any_mut()
+        .expect("crawler downcasts")
+        .downcast_mut::<C>()
+        .expect("crawler node")
+}
+
+/// Runs a populated world's collection for `days` simulated days and
+/// takes the crawler's log. Each day ends by sampling the queue depth,
+/// printing the day's trace line at `trace` ≥ 1 and reporting the day to
+/// `progress`.
+fn collect<C: Crawler>(
+    mut sim: Simulator,
+    crawler: NodeId,
+    network: Network,
+    world: SharedWorld,
+    days: u64,
+    trace: u8,
+    mut progress: impl FnMut(u64),
+) -> NetworkRun {
+    let net = match network {
+        Network::Limewire => "LW",
+        Network::OpenFt => "FT",
+    };
+    let mut last_events = 0u64;
+    let mut wall = std::time::Duration::ZERO;
+    for day in 1..=days {
+        let t0 = std::time::Instant::now();
+        sim.run_until(SimTime::from_days(day));
+        let day_wall = t0.elapsed();
+        wall += day_wall;
+        // Unconditional: every run samples queue depth identically, so
+        // the registry stays deterministic whatever the trace level.
+        sim.sample_queue_depth();
+        let ev = sim.metrics().events_processed;
+        if trace >= 1 {
+            let (pending, m) = (sim.pending_events(), sim.metrics().clone());
+            sim.with_node(crawler, |app, _| {
+                let log = crawler_of::<C>(app).log();
+                trace_day(
+                    net,
+                    day,
+                    ev - last_events,
+                    day_wall.as_secs_f64(),
+                    pending,
+                    &m,
+                    log,
+                );
+            });
+        }
+        last_events = ev;
+        progress(day);
+    }
+    sim.flush_telemetry();
+    sim.record_memory();
+    let log = sim
+        .with_node(crawler, |app, _| crawler_of::<C>(app).take_log())
+        .expect("crawler alive");
+    let resolved = log.resolved();
+    NetworkRun {
+        network,
+        sim_metrics: sim.metrics().clone(),
+        log,
+        resolved,
+        world,
+        wall,
+        shards: sim.shard_count(),
+        shard_window_us: sim.shard_window_us(),
+    }
 }
 
 fn make_world(seed: u64, catalog_cfg: &CatalogConfig, roster: Roster) -> SharedWorld {
@@ -270,19 +320,19 @@ pub struct LimewireScenario {
     /// Crawler download retry policy ([`RetryPolicy::legacy()`] by
     /// default: the historical one-immediate-fallback behavior).
     pub retry: RetryPolicy,
-    /// Telemetry sinks and trace level. The presets read the
-    /// `P2PMAL_JOURNAL` / `P2PMAL_TRACE` / `P2PMAL_JOURNAL_SAMPLE` env
-    /// knobs; tests set this field programmatically. With everything off
-    /// (the default when no knob is set) runs are byte-identical to a
-    /// build without the telemetry layer.
+    /// Telemetry sinks and trace level. The presets take it from
+    /// [`RunConfig::env`]; tests set this field programmatically. With
+    /// everything off (the empty environment's setting) runs are
+    /// byte-identical to a build without the telemetry layer.
     pub telemetry: TelemetryConfig,
     /// Simulation shards (see [`SimConfig::shards`]): 1 runs the serial
     /// reference engine; N ≥ 2 runs the parallel sharded engine, whose
     /// trajectory is deterministic and identical for every N ≥ 2 but
-    /// distinct from the serial one. The presets read `P2PMAL_SHARDS`.
+    /// distinct from the serial one. The presets take it from
+    /// [`RunConfig::env`].
     pub shards: usize,
-    /// Cross-shard exchange window in microseconds
-    /// (`P2PMAL_SHARD_WINDOW_MS`).
+    /// Cross-shard exchange window in microseconds; the presets use
+    /// [`SimConfig`]'s default of one second.
     pub shard_window_us: u64,
 }
 
@@ -310,9 +360,9 @@ impl LimewireScenario {
             scan_cache_entries: DEFAULT_SCAN_CACHE_ENTRIES,
             faults: FaultPlan::none(),
             retry: RetryPolicy::legacy(),
-            telemetry: TelemetryConfig::from_env(),
-            shards: SimConfig::shards_from_env().0,
-            shard_window_us: SimConfig::shards_from_env().1,
+            telemetry: RunConfig::env().telemetry.clone(),
+            shards: RunConfig::env().shards,
+            shard_window_us: SimConfig::default().shard_window_us,
         }
     }
 
@@ -372,7 +422,7 @@ impl LimewireScenario {
 
     /// Like [`LimewireScenario::run`], reporting each finished simulated
     /// day to `progress`.
-    pub fn run_with_progress(&self, mut progress: impl FnMut(u64)) -> NetworkRun {
+    pub fn run_with_progress(&self, progress: impl FnMut(u64)) -> NetworkRun {
         let world = make_world(self.seed, &self.catalog, Roster::limewire_2006());
         let scanner = make_scanner(&world);
         let mut sim = Simulator::new(
@@ -455,62 +505,15 @@ impl LimewireScenario {
             )),
         );
 
-        let mut last_events = 0u64;
-        let mut wall = std::time::Duration::ZERO;
-        for day in 1..=self.days {
-            let t0 = std::time::Instant::now();
-            sim.run_until(SimTime::from_days(day));
-            let day_wall = t0.elapsed();
-            wall += day_wall;
-            // Unconditional: every run samples queue depth identically, so
-            // the registry stays deterministic whatever the trace level.
-            sim.sample_queue_depth();
-            let ev = sim.metrics().events_processed;
-            if self.telemetry.trace >= 1 {
-                let crawl = sim.with_node(crawler, |app, _| {
-                    DayCrawlStats::of(
-                        app.as_any_mut()
-                            .expect("crawler downcasts")
-                            .downcast_mut::<GnutellaCrawler>()
-                            .expect("crawler node")
-                            .log(),
-                    )
-                });
-                trace_day(
-                    "LW",
-                    day,
-                    ev,
-                    ev - last_events,
-                    day_wall.as_secs_f64(),
-                    &sim,
-                    crawl.as_ref(),
-                );
-            }
-            last_events = ev;
-            progress(day);
-        }
-        sim.flush_telemetry();
-        sim.record_memory();
-        let log = sim
-            .with_node(crawler, |app, _| {
-                app.as_any_mut()
-                    .expect("crawler downcasts")
-                    .downcast_mut::<GnutellaCrawler>()
-                    .expect("crawler node")
-                    .take_log()
-            })
-            .expect("crawler alive");
-        let resolved = log.resolved();
-        NetworkRun {
-            network: Network::Limewire,
-            sim_metrics: metrics_with_log(&sim, &log),
-            log,
-            resolved,
+        collect::<GnutellaCrawler>(
+            sim,
+            crawler,
+            Network::Limewire,
             world,
-            wall,
-            shards: sim.shard_count(),
-            shard_window_us: sim.shard_window_us(),
-        }
+            self.days,
+            self.telemetry.trace,
+            progress,
+        )
     }
 }
 
@@ -589,9 +592,9 @@ impl OpenFtScenario {
             scan_cache_entries: DEFAULT_SCAN_CACHE_ENTRIES,
             faults: FaultPlan::none(),
             retry: RetryPolicy::legacy(),
-            telemetry: TelemetryConfig::from_env(),
-            shards: SimConfig::shards_from_env().0,
-            shard_window_us: SimConfig::shards_from_env().1,
+            telemetry: RunConfig::env().telemetry.clone(),
+            shards: RunConfig::env().shards,
+            shard_window_us: SimConfig::default().shard_window_us,
         }
     }
 
@@ -631,7 +634,7 @@ impl OpenFtScenario {
         self.run_with_progress(|_| {})
     }
 
-    pub fn run_with_progress(&self, mut progress: impl FnMut(u64)) -> NetworkRun {
+    pub fn run_with_progress(&self, progress: impl FnMut(u64)) -> NetworkRun {
         let world = make_world(self.seed, &self.catalog, Roster::openft_2006());
         let scanner = make_scanner(&world);
         let mut sim = Simulator::new(
@@ -728,61 +731,14 @@ impl OpenFtScenario {
             )),
         );
 
-        let mut last_events = 0u64;
-        let mut wall = std::time::Duration::ZERO;
-        for day in 1..=self.days {
-            let t0 = std::time::Instant::now();
-            sim.run_until(SimTime::from_days(day));
-            let day_wall = t0.elapsed();
-            wall += day_wall;
-            // Unconditional: every run samples queue depth identically, so
-            // the registry stays deterministic whatever the trace level.
-            sim.sample_queue_depth();
-            let ev = sim.metrics().events_processed;
-            if self.telemetry.trace >= 1 {
-                let crawl = sim.with_node(crawler, |app, _| {
-                    DayCrawlStats::of(
-                        app.as_any_mut()
-                            .expect("crawler downcasts")
-                            .downcast_mut::<FtCrawler>()
-                            .expect("crawler node")
-                            .log(),
-                    )
-                });
-                trace_day(
-                    "FT",
-                    day,
-                    ev,
-                    ev - last_events,
-                    day_wall.as_secs_f64(),
-                    &sim,
-                    crawl.as_ref(),
-                );
-            }
-            last_events = ev;
-            progress(day);
-        }
-        sim.flush_telemetry();
-        sim.record_memory();
-        let log = sim
-            .with_node(crawler, |app, _| {
-                app.as_any_mut()
-                    .expect("crawler downcasts")
-                    .downcast_mut::<FtCrawler>()
-                    .expect("crawler node")
-                    .take_log()
-            })
-            .expect("crawler alive");
-        let resolved = log.resolved();
-        NetworkRun {
-            network: Network::OpenFt,
-            sim_metrics: metrics_with_log(&sim, &log),
-            log,
-            resolved,
+        collect::<FtCrawler>(
+            sim,
+            crawler,
+            Network::OpenFt,
             world,
-            wall,
-            shards: sim.shard_count(),
-            shard_window_us: sim.shard_window_us(),
-        }
+            self.days,
+            self.telemetry.trace,
+            progress,
+        )
     }
 }

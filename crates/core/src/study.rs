@@ -23,14 +23,6 @@ impl Study {
         Self::default()
     }
 
-    /// The paper's configuration: both networks at paper scale.
-    pub fn paper_scale(seed: u64) -> Self {
-        Study {
-            limewire: Some(LimewireScenario::paper_scale(seed)),
-            openft: Some(OpenFtScenario::paper_scale(seed ^ 0xF7)),
-        }
-    }
-
     /// Minutes-scale study for tests/examples.
     pub fn quick(seed: u64) -> Self {
         Study {

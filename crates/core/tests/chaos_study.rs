@@ -80,8 +80,6 @@ fn assert_chaos_invariants(run: &NetworkRun, prevalence_band: (f64, f64)) {
         "{label}: retries never recovered a transfer ({} scheduled)",
         log.retries_scheduled
     );
-    assert_eq!(m.dl_retries, log.retries_scheduled);
-    assert_eq!(m.dl_retry_successes, log.retry_successes);
 
     // The study still measures something sane.
     let prev = prevalence_pct(run);

@@ -25,7 +25,7 @@ use std::sync::Arc;
 pub const DEFAULT_SCAN_CACHE_ENTRIES: usize = 4096;
 
 /// Counters for the download→hash→scan pipeline, carried in the crawl log
-/// and mirrored into `SimMetrics` / `P2PMAL_TRACE` day lines.
+/// and printed on trace-level day lines.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScanStats {
     /// Bodies that completed download and entered the pipeline.

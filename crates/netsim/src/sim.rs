@@ -67,27 +67,6 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// Reads the sharding knobs from the environment: `P2PMAL_SHARDS`
-    /// (clamped to 1..=64; unset or unparsable means 1 = serial) and
-    /// `P2PMAL_SHARD_WINDOW_MS` (window length in milliseconds, min 1;
-    /// default 1000). Returns `(shards, shard_window_us)` for harnesses to
-    /// drop into a config.
-    pub fn shards_from_env() -> (usize, u64) {
-        let shards = std::env::var("P2PMAL_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.clamp(1, 64))
-            .unwrap_or(1);
-        let window_us = std::env::var("P2PMAL_SHARD_WINDOW_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(|ms| ms.max(1) * 1_000)
-            .unwrap_or(1_000_000);
-        (shards, window_us)
-    }
-}
-
 /// Per-node spawn parameters.
 #[derive(Debug, Clone)]
 pub struct NodeSpec {

@@ -8,8 +8,7 @@
 //! * [`sink`] — the [`TelemetrySink`] trait ([`NullSink`], bounded
 //!   [`RingSink`], JSONL [`JsonlSink`], stderr [`TraceSink`]) and the
 //!   per-simulator [`Telemetry`] hub with per-category 1-in-N sampling,
-//!   configured from `P2PMAL_JOURNAL` / `P2PMAL_TRACE` /
-//!   `P2PMAL_JOURNAL_SAMPLE` via [`TelemetryConfig`].
+//!   configured by a [`TelemetryConfig`].
 //! * [`registry`] + [`hist`] — named counters, gauges and log2-bucket
 //!   histograms rolling up into `SimMetrics` without breaking its
 //!   `Eq`-based determinism assertions (wall-clock histograms hide behind
@@ -31,7 +30,7 @@ pub use event::{EventBody, EventCategory, FaultKind, TelemetryEvent, CATEGORY_CO
 pub use hist::{HistSummary, Log2Histogram, LOG2_BUCKETS};
 pub use registry::{Counter, Gauge, MetricsRegistry, SimHist, WallHist, WallHists};
 pub use sink::{
-    journal_path_for, parse_trace_level, trace_level, JsonlSink, NullSink, RingSink, Telemetry,
-    TelemetryConfig, TelemetrySink, TraceSink,
+    journal_path_for, parse_trace_level, JsonlSink, NullSink, RingSink, Telemetry, TelemetryConfig,
+    TelemetrySink, TraceSink,
 };
 pub use span::SpanCtx;

@@ -280,11 +280,6 @@ pub fn parse_trace_level(value: Option<&str>) -> u8 {
     }
 }
 
-/// The current `P2PMAL_TRACE` level (see [`parse_trace_level`]).
-pub fn trace_level() -> u8 {
-    parse_trace_level(std::env::var("P2PMAL_TRACE").ok().as_deref())
-}
-
 /// Derives a per-network journal path from the user-supplied one by
 /// inserting the network label before the extension:
 /// `journal.jsonl` + `limewire` → `journal.limewire.jsonl`.
@@ -296,16 +291,18 @@ pub fn journal_path_for(base: &Path, label: &str) -> PathBuf {
 }
 
 /// Cloneable sink configuration carried by scenario presets: how a run
-/// turns env knobs (or programmatic settings) into a [`Telemetry`] hub.
+/// turns its settings into a [`Telemetry`] hub. The harness fills it from
+/// the `P2PMAL_JOURNAL`, `P2PMAL_TRACE` and `P2PMAL_JOURNAL_SAMPLE`
+/// variables (`p2pmal_core::RunConfig`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Base journal path (`P2PMAL_JOURNAL`); each network writes to
+    /// Base journal path; each network writes to
     /// [`journal_path_for`]`(base, label)`. `None` disables the journal.
     pub journal: Option<PathBuf>,
-    /// Trace level (`P2PMAL_TRACE`): 0 off, 1 per-day lines, 2 adds
+    /// Trace level: 0 off, 1 per-day lines, 2 adds
     /// per-event records rendered from the same journal stream.
     pub trace: u8,
-    /// Per-category 1-in-N sampling (`P2PMAL_JOURNAL_SAMPLE`); 1 keeps
+    /// Per-category 1-in-N sampling; 1 keeps
     /// everything, 0 disables the category entirely.
     pub sample: [u32; CATEGORY_COUNT],
 }
@@ -323,33 +320,6 @@ impl TelemetryConfig {
             journal: None,
             trace: 0,
             sample: [1; CATEGORY_COUNT],
-        }
-    }
-
-    /// Reads `P2PMAL_JOURNAL`, `P2PMAL_TRACE` and `P2PMAL_JOURNAL_SAMPLE`
-    /// (`cat=N` pairs, comma-separated: `query=10,download=1`).
-    pub fn from_env() -> Self {
-        let journal = std::env::var("P2PMAL_JOURNAL")
-            .ok()
-            .filter(|p| !p.trim().is_empty())
-            .map(PathBuf::from);
-        let mut sample = [1u32; CATEGORY_COUNT];
-        if let Ok(spec) = std::env::var("P2PMAL_JOURNAL_SAMPLE") {
-            for part in spec.split(',') {
-                let Some((cat, n)) = part.split_once('=') else {
-                    continue;
-                };
-                if let (Some(cat), Ok(n)) =
-                    (EventCategory::from_label(cat.trim()), n.trim().parse())
-                {
-                    sample[cat as usize] = n;
-                }
-            }
-        }
-        TelemetryConfig {
-            journal,
-            trace: trace_level(),
-            sample,
         }
     }
 
